@@ -38,12 +38,13 @@ tier1: build vet race
 # Focused race pass over the concurrency-heavy packages: the durable
 # store (WAL appends vs group-commit ticker vs compaction swaps), the
 # gateway (batcher/cache/mutations), the engine (searches vs swaps),
-# the multi-tenant collection layer (filtered search vs mutation,
-# drain vs admission), and the hybrid-retrieval packages (lock-free
-# BM25 reads vs writes, rank fusion). Much faster than the full race
-# suite; CI runs both.
+# the graph and its local-index adapters (one traversal loop serving
+# concurrent Add, search and background re-freeze), the multi-tenant
+# collection layer (filtered search vs mutation, drain vs admission),
+# and the hybrid-retrieval packages (lock-free BM25 reads vs writes,
+# rank fusion). Much faster than the full race suite; CI runs both.
 tier1-race:
-	$(GO) test -race -count=1 -timeout 900s ./internal/store/... ./internal/serve/... ./internal/core/... ./internal/collection/... ./internal/lexical/... ./internal/fusion/...
+	$(GO) test -race -count=1 -timeout 900s ./internal/store/... ./internal/serve/... ./internal/core/... ./internal/hnsw/... ./internal/index/... ./internal/collection/... ./internal/lexical/... ./internal/fusion/...
 
 # End-to-end multi-node serving gate: gateway + worker shards over real
 # loopback TCP (internal/serve/clustertest) plus the shard RPC layer,

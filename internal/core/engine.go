@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/filter"
 	"repro/internal/hnsw"
 	"repro/internal/index"
 	"repro/internal/lexical"
@@ -162,82 +163,117 @@ func (e *Engine) Len() int {
 // Search returns the approximate k nearest neighbors of q, searching the
 // configured number of partitions.
 func (e *Engine) Search(q []float32, k int) ([]topk.Result, error) {
-	rs, _, err := e.SearchStats(q, k)
+	rs, _, err := e.SearchFilteredStats(q, k, nil)
 	return rs, err
 }
 
 // SearchStats is Search plus the work performed.
 func (e *Engine) SearchStats(q []float32, k int) ([]topk.Result, index.Stats, error) {
+	return e.SearchFilteredStats(q, k, nil)
+}
+
+// FilterPredicate compiles a filter expression into an ID predicate
+// over the engine's tag store. A nil/empty expression compiles to nil
+// (match everything), which every layer below treats as the unfiltered
+// search. The predicate is lock-free and safe for concurrent use.
+func (e *Engine) FilterPredicate(f *filter.Expr) func(int64) bool {
+	if f.Empty() {
+		return nil
+	}
+	return func(id int64) bool { return f.Matches(e.tags.get(id)) }
+}
+
+// SearchFiltered returns the approximate k nearest neighbors of q whose
+// tags satisfy f, with the predicate pushed down into the per-partition
+// graph traversal (see hnsw.SearchEfFiltered). Tombstones are filtered
+// exactly as in Search.
+func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Result, error) {
+	rs, _, err := e.SearchFilteredStats(q, k, f)
+	return rs, err
+}
+
+// SearchFilteredStats is SearchFiltered plus the work performed. It is
+// the engine's one read path (Algorithms 3-4): route q to its
+// partitions, run one local search per partition, merge, drop
+// tombstones. A nil or empty f is the unfiltered search.
+func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk.Result, index.Stats, error) {
 	if len(q) != e.dim {
 		return nil, index.Stats{}, fmt.Errorf("core: query dim %d, index dim %d", len(q), e.dim)
 	}
 	if k <= 0 {
 		k = e.cfg.K
 	}
+	keep := e.FilterPredicate(f)
 	fetch := e.overfetch(k)
 	tree, parts := e.view()
-	var routes []vptree.Route
+	var (
+		routes []vptree.Route
+		lists  [][]topk.Result
+		total  index.Stats
+	)
+	home := -1
 	if e.cfg.Routing == RouteAdaptive {
-		// search home first, then widen to the ball of the k-th distance
-		home := tree.Home(q)
-		first, st0, err := parts[home].Search(q, fetch)
+		// Search home first, then widen to the ball of the current k-th
+		// matching distance. The filtered k-th distance is never smaller
+		// than the unfiltered one, so the ball — and hence the route
+		// set — is conservative (correct, possibly wider).
+		home = tree.Home(q)
+		first, st, err := index.SearchFiltered(parts[home], q, fetch, keep)
 		if err != nil {
-			return nil, st0, err
+			return nil, st, err
 		}
+		lists, total = append(lists, first), st
 		if len(first) > 0 {
-			tau := first[len(first)-1].Dist
-			routes = tree.RouteBall(q, tau)
+			routes = tree.RouteBall(q, first[len(first)-1].Dist)
 		} else {
 			routes = tree.RouteAll(q)
 		}
-		lists := [][]topk.Result{first}
-		total := st0
-		for _, rt := range routes {
-			if rt.Partition == home {
-				continue
-			}
-			rs, st, err := parts[rt.Partition].Search(q, fetch)
-			if err != nil {
-				return nil, total, err
-			}
-			total.DistComps += st.DistComps
-			total.Hops += st.Hops
-			total.QuantComps += st.QuantComps
-			total.Reranked += st.Reranked
-			lists = append(lists, rs)
-		}
-		return e.filterDeleted(topk.Merge(fetch, lists...), k), total, nil
+	} else {
+		routes = tree.RouteTop(q, e.cfg.NProbe)
 	}
-	routes = tree.RouteTop(q, e.cfg.NProbe)
-	lists := make([][]topk.Result, 0, len(routes))
-	var total index.Stats
 	for _, rt := range routes {
-		rs, st, err := parts[rt.Partition].Search(q, fetch)
+		if rt.Partition == home {
+			continue
+		}
+		rs, st, err := index.SearchFiltered(parts[rt.Partition], q, fetch, keep)
 		if err != nil {
 			return nil, total, err
 		}
-		total.DistComps += st.DistComps
-		total.Hops += st.Hops
-		total.QuantComps += st.QuantComps
-		total.Reranked += st.Reranked
+		total = addStats(total, st)
 		lists = append(lists, rs)
 	}
 	return e.filterDeleted(topk.Merge(fetch, lists...), k), total, nil
+}
+
+func addStats(a, b index.Stats) index.Stats {
+	return index.Stats{
+		DistComps:  a.DistComps + b.DistComps,
+		Hops:       a.Hops + b.Hops,
+		QuantComps: a.QuantComps + b.QuantComps,
+		Reranked:   a.Reranked + b.Reranked,
+	}
 }
 
 // SearchBatch answers all queries using a pool of nThreads workers
 // (default GOMAXPROCS) — the single-node equivalent of the batched
 // throughput mode the paper targets.
 func (e *Engine) SearchBatch(queries *vec.Dataset, k, nThreads int) ([][]topk.Result, error) {
-	return e.SearchBatchContext(context.Background(), queries, k, nThreads)
+	return e.SearchBatchFiltered(context.Background(), queries, k, nil, nThreads)
 }
 
-// SearchBatchContext is SearchBatch with cancellation: once ctx is done,
-// remaining queries are skipped, the pool drains, and ctx.Err() is
-// returned. Queries already being searched run to completion (local HNSW
-// searches are short); this is the entry point the serving gateway uses
-// to bound a coalesced batch by its requests' deadlines.
+// SearchBatchContext is SearchBatch with cancellation; see
+// SearchBatchFiltered.
 func (e *Engine) SearchBatchContext(ctx context.Context, queries *vec.Dataset, k, nThreads int) ([][]topk.Result, error) {
+	return e.SearchBatchFiltered(ctx, queries, k, nil, nThreads)
+}
+
+// SearchBatchFiltered answers all queries under one filter (nil for
+// none) using a pool of nThreads workers. Once ctx is done, remaining
+// queries are skipped, the pool drains, and ctx.Err() is returned.
+// Queries already being searched run to completion (local HNSW searches
+// are short); this is the entry point the serving gateway uses to bound
+// a coalesced batch by its requests' deadlines.
+func (e *Engine) SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr, nThreads int) ([][]topk.Result, error) {
 	if queries.Dim != e.dim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", queries.Dim, e.dim)
 	}
@@ -263,7 +299,7 @@ func (e *Engine) SearchBatchContext(ctx context.Context, queries *vec.Dataset, k
 					continue // keep draining so the producer never blocks
 				default:
 				}
-				out[i], errs[i] = e.Search(queries.At(i), k)
+				out[i], errs[i] = e.SearchFiltered(queries.At(i), k, f)
 			}
 		}()
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/fusion"
 	"repro/internal/lexical"
-	"repro/internal/topk"
 )
 
 // Hybrid retrieval: the engine owns a BM25 inverted index
@@ -192,20 +191,12 @@ func (e *Engine) SearchHybrid(q []float32, text string, k int, opts HybridOption
 	lex := e.lexIndex()
 	dist := e.cfg.Metric.Func()
 
-	// Vector leg: existing dynamic/frozen/filtered paths, then exact
-	// re-scoring of every candidate whose stored vector is known.
+	// Vector leg: the engine's one read path, then exact re-scoring of
+	// every candidate whose stored vector is known.
 	var vecLeg []fusion.Candidate
 	exact := make(map[int64]float32)
 	if len(q) != 0 {
-		var (
-			rs  []topk.Result
-			err error
-		)
-		if opts.Filter != nil && !opts.Filter.Empty() {
-			rs, err = e.SearchFiltered(q, opts.LegK, opts.Filter)
-		} else {
-			rs, err = e.Search(q, opts.LegK)
-		}
+		rs, err := e.SearchFiltered(q, opts.LegK, opts.Filter)
 		if err != nil {
 			return nil, err
 		}

@@ -223,4 +223,15 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 	if len(fnone) != 0 {
 		t.Fatalf("frozen false predicate returned %d results", len(fnone))
 	}
+
+	// Non-positive k is one error on both layouts, filtered or not.
+	for _, k := range []int{0, -1} {
+		for _, keep := range []func(int64) bool{nil, selKeep(1)} {
+			_, _, derr := g.SearchEfFiltered(q, k, 32, keep)
+			_, _, ferr := fz.SearchEfFiltered(q, k, 32, -1, keep)
+			if derr == nil || ferr == nil || derr.Error() != ferr.Error() {
+				t.Fatalf("k=%d filtered=%v: dynamic err %v, frozen err %v; want the same non-nil error", k, keep != nil, derr, ferr)
+			}
+		}
+	}
 }

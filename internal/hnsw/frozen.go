@@ -2,7 +2,6 @@ package hnsw
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -178,23 +177,14 @@ func (f *Frozen) ArenaBytes() int64 {
 	return b
 }
 
-func (f *Frozen) neighbors(l int, u uint32) []uint32 {
-	lay := &f.layers[l]
-	return lay.nbr[lay.off[u]:lay.off[u+1]]
-}
-
 func (f *Frozen) vec(i uint32) []float32 {
 	return f.arena[int(i)*f.dim : (int(i)+1)*f.dim]
-}
-
-func (f *Frozen) code(i uint32) []uint8 {
-	return f.codes[int(i)*f.dim : (int(i)+1)*f.dim]
 }
 
 // Search returns the approximate k nearest neighbors using the beam
 // width and re-rank budget fixed at freeze time.
 func (f *Frozen) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return f.SearchEf(q, k, f.efSearch, f.rerankK)
+	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, nil)
 }
 
 // SearchEf searches with an explicit beam width ef (clamped to >= k)
@@ -202,193 +192,72 @@ func (f *Frozen) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 // negative conventions). Results carry global IDs and exact
 // full-precision distances in the configured metric.
 func (f *Frozen) SearchEf(q []float32, k, ef, rerankK int) ([]topk.Result, Stats, error) {
-	if len(f.ids) == 0 {
-		return nil, Stats{}, ErrEmpty
-	}
-	if len(q) != f.dim {
-		return nil, Stats{}, fmt.Errorf("hnsw: query dim %d, index dim %d", len(q), f.dim)
-	}
-	if k <= 0 {
-		return nil, Stats{}, fmt.Errorf("hnsw: non-positive k %d", k)
-	}
-	if ef < k {
-		ef = k
+	return f.SearchEfFiltered(q, k, ef, rerankK, nil)
+}
+
+// SearchFiltered returns the approximate k nearest matching neighbors
+// using the beam width and re-rank budget fixed at freeze time.
+func (f *Frozen) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, keep)
+}
+
+// SearchEfFiltered is SearchEf with filter pushdown, running the same
+// walk as Graph.SearchEfFiltered over the flat layout; keep==nil is the
+// unfiltered search. Without a code slab, or with rerankK < 0, scoring
+// is float32 end to end and results and work stats are bit-identical to
+// the dynamic graph over the same snapshot (same traversal order, same
+// tie-breaking). Otherwise the walk scores SQ8 codes with the integer
+// kernel — 1/4 the memory traffic per candidate — and the top re-rank
+// budget of its admitted candidates is re-scored at full precision
+// against the arena; non-matching rows never occupy re-rank slots.
+func (f *Frozen) SearchEfFiltered(q []float32, k, ef, rerankK int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	if err := checkQuery(len(f.ids), f.dim, q, k); err != nil {
+		return nil, Stats{}, err
 	}
 	var st Stats
-	quant := f.codec != nil && rerankK >= 0
-	if !quant {
-		// Exact path: float32 scoring end to end. Bit-identical to
-		// Graph.SearchEf over the same snapshot (same traversal order,
-		// same tie-breaking).
-		cands := f.searchFloat(q, ef, &st)
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		return f.report(cands), st, nil
-	}
-
-	qc := make([]uint8, f.dim)
-	if err := f.codec.Encode(q, qc); err != nil {
-		return nil, st, err
-	}
-	rr := rerankK
-	if rr == 0 {
-		rr = 4 * k
-	}
-	if rr < k {
-		rr = k
-	}
-	// Quantized first pass over the code slab...
-	cands := f.searchBytes(qc, ef, &st)
-	if len(cands) > rr {
-		cands = cands[:rr]
-	}
-	// ...then exact re-rank of the survivors against the arena.
-	col := topk.New(k)
-	for _, c := range cands {
-		col.Push(int64(c.id), f.dist(q, f.vec(c.id)))
-	}
-	st.DistComps += int64(len(cands))
-	st.Reranked += int64(len(cands))
-	rs := col.Results()
-	out := make([]topk.Result, len(rs))
-	for i, r := range rs {
-		d := r.Dist
-		if f.sqrtL {
-			d = float32(math.Sqrt(float64(d)))
-		}
-		out[i] = topk.Result{ID: f.ids[r.ID], Dist: d}
-	}
-	return out, st, nil
-}
-
-// report converts internal candidates (exact internal-metric distances)
-// into results with global IDs and user-metric distances.
-func (f *Frozen) report(cands []cand) []topk.Result {
-	out := make([]topk.Result, len(cands))
-	for i, c := range cands {
-		d := c.dist
-		if f.sqrtL {
-			d = float32(math.Sqrt(float64(d)))
-		}
-		out[i] = topk.Result{ID: f.ids[c.id], Dist: d}
-	}
-	return out
-}
-
-// searchFloat is the exact traversal: greedy descent through the upper
-// layers, then a beam of width ef on layer 0, all scored with the
-// full-precision kernel against the arena.
-func (f *Frozen) searchFloat(q []float32, ef int, st *Stats) []cand {
-	cur := f.entry
-	curDist := f.dist(q, f.vec(cur))
-	st.DistComps++
-	for l := f.maxLevel; l >= 1; l-- {
-		for changed := true; changed; {
-			changed = false
-			st.Hops++
-			for _, nb := range f.neighbors(l, cur) {
-				d := f.dist(q, f.vec(nb))
-				st.DistComps++
-				if d < curDist {
-					curDist, cur = d, nb
-					changed = true
-				}
-			}
-		}
-	}
-	ctx := ctxPool.Get().(*searchCtx)
-	defer ctxPool.Put(ctx)
-	ctx.reset(len(f.ids))
-	var frontier topk.MinQueue
-	results := topk.New(ef)
-	// The dynamic path re-scores the entry when it starts the layer-0
-	// beam (searchLayer owns its entry distance); do the same so work
-	// stats — not just results — are bit-identical to Graph.SearchEf.
-	curDist = f.dist(q, f.vec(cur))
-	st.DistComps++
-	ctx.visit(cur)
-	frontier.PushMin(int64(cur), curDist)
-	results.Push(int64(cur), curDist)
-	for frontier.Len() > 0 {
-		c := frontier.PopMin()
-		if c.Dist > results.Bound() {
-			break
-		}
-		st.Hops++
-		for _, nb := range f.neighbors(0, uint32(c.ID)) {
-			if !ctx.visit(nb) {
-				continue
-			}
-			dn := f.dist(q, f.vec(nb))
+	w := walk{
+		neighbors: func(u uint32, l int) []uint32 {
+			lay := &f.layers[l]
+			return lay.nbr[lay.off[u]:lay.off[u+1]]
+		},
+		score: func(u uint32) float32 {
 			st.DistComps++
-			if !results.Full() || dn < results.Bound() {
-				frontier.PushMin(int64(nb), dn)
-				results.Push(int64(nb), dn)
-			}
-		}
+			return f.dist(q, f.vec(u))
+		},
+		keep: keep,
+		ids:  f.ids,
+		st:   &st,
 	}
-	rs := results.Results()
-	out := make([]cand, len(rs))
-	for i, r := range rs {
-		out[i] = cand{uint32(r.ID), r.Dist}
-	}
-	return out
-}
-
-// searchBytes is the quantized traversal: identical structure to
-// searchFloat but scored with the integer SQ8 kernel against the code
-// slab — 1/4 the memory traffic per candidate.
-func (f *Frozen) searchBytes(qc []uint8, ef int, st *Stats) []cand {
-	cur := f.entry
-	curDist := float32(vec.SquaredL2Bytes(qc, f.code(cur)))
-	st.QuantComps++
-	for l := f.maxLevel; l >= 1; l-- {
-		for changed := true; changed; {
-			changed = false
-			st.Hops++
-			for _, nb := range f.neighbors(l, cur) {
-				d := float32(vec.SquaredL2Bytes(qc, f.code(nb)))
-				st.QuantComps++
-				if d < curDist {
-					curDist, cur = d, nb
-					changed = true
-				}
-			}
+	quant := f.codec != nil && rerankK >= 0
+	if quant {
+		qc := make([]uint8, f.dim)
+		if err := f.codec.Encode(q, qc); err != nil {
+			return nil, st, err
 		}
-	}
-	ctx := ctxPool.Get().(*searchCtx)
-	defer ctxPool.Put(ctx)
-	ctx.reset(len(f.ids))
-	var frontier topk.MinQueue
-	results := topk.New(ef)
-	curDist = float32(vec.SquaredL2Bytes(qc, f.code(cur)))
-	st.QuantComps++
-	ctx.visit(cur)
-	frontier.PushMin(int64(cur), curDist)
-	results.Push(int64(cur), curDist)
-	for frontier.Len() > 0 {
-		c := frontier.PopMin()
-		if c.Dist > results.Bound() {
-			break
-		}
-		st.Hops++
-		for _, nb := range f.neighbors(0, uint32(c.ID)) {
-			if !ctx.visit(nb) {
-				continue
-			}
-			dn := float32(vec.SquaredL2Bytes(qc, f.code(nb)))
+		w.score = func(u uint32) float32 {
 			st.QuantComps++
-			if !results.Full() || dn < results.Bound() {
-				frontier.PushMin(int64(nb), dn)
-				results.Push(int64(nb), dn)
-			}
+			return float32(vec.SquaredL2Bytes(qc, f.codes[int(u)*f.dim:(int(u)+1)*f.dim]))
 		}
 	}
-	rs := results.Results()
-	out := make([]cand, len(rs))
-	for i, r := range rs {
-		out[i] = cand{uint32(r.ID), r.Dist}
+	cands := w.beam(w.descend(f.entry, f.maxLevel, 0), max(ef, k), 0)
+	if quant {
+		rr := rerankK
+		if rr == 0 {
+			rr = 4 * k
+		}
+		if rr = max(rr, k); len(cands) > rr {
+			cands = cands[:rr]
+		}
+		col := topk.New(k)
+		for _, c := range cands {
+			col.Push(int64(c.id), f.dist(q, f.vec(c.id)))
+		}
+		st.DistComps += int64(len(cands))
+		st.Reranked += int64(len(cands))
+		cands = cands[:0]
+		for _, r := range col.Results() {
+			cands = append(cands, cand{uint32(r.ID), r.Dist})
+		}
 	}
-	return out
+	return report(cands, k, f.ids, f.sqrtL), st, nil
 }

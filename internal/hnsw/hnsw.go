@@ -314,21 +314,15 @@ func (g *Graph) AddAtLevel(v []float32, id int64, level int) (Stats, error) {
 	g.epMu.Unlock()
 
 	var st Stats
-	ctx := ctxPool.Get().(*searchCtx)
-	defer ctxPool.Put(ctx)
 	q := s.vec(idx)
+	w := g.walk(&s, q, nil, &st)
 
 	// Greedy descent with ef=1 through layers above the node's level.
-	cur := s.entry
-	curDist := g.dist(q, s.vec(cur))
-	st.DistComps++
-	for l := s.maxL; l > level; l-- {
-		cur, curDist = g.greedyStep(&s, q, cur, curDist, l, &st)
-	}
+	cur := w.descend(s.entry, s.maxL, level)
 
 	// Beam search and linking on layers min(level,maxL)..0.
 	for l := min(level, s.maxL); l >= 0; l-- {
-		cands := g.searchLayer(&s, q, cur, g.cfg.EfConstruction, l, ctx, &st)
+		cands := w.beam(cur, g.cfg.EfConstruction, l)
 		// Drop self if discovered through a concurrent back-link.
 		for i, c := range cands {
 			if c.id == idx {
@@ -357,23 +351,6 @@ func (g *Graph) AddAtLevel(v []float32, id int64, level int) (Stats, error) {
 		g.epMu.Unlock()
 	}
 	return st, nil
-}
-
-// greedyStep walks greedily at layer l until no neighbor improves.
-func (g *Graph) greedyStep(s *snap, q []float32, cur uint32, curDist float32, l int, st *Stats) (uint32, float32) {
-	for changed := true; changed; {
-		changed = false
-		st.Hops++
-		for _, nb := range g.neighbors(s, cur, l) {
-			d := g.dist(q, s.vec(nb))
-			st.DistComps++
-			if d < curDist {
-				curDist, cur = d, nb
-				changed = true
-			}
-		}
-	}
-	return cur, curDist
 }
 
 // AddAll inserts every row of ds using nThreads workers.
@@ -602,37 +579,95 @@ func (c *searchCtx) visit(u uint32) bool {
 
 var ctxPool = sync.Pool{New: func() any { return &searchCtx{} }}
 
-// searchLayer is Algorithm 2: beam search of width ef on one layer,
-// returning up to ef candidates sorted by ascending distance.
-func (g *Graph) searchLayer(s *snap, q []float32, entry uint32, ef, l int, ctx *searchCtx, st *Stats) []cand {
-	ctx.reset(len(s.nodes))
+// walk is the one traversal every search and every insert runs: greedy
+// descent through the upper layers, then a beam on the target layer. It
+// knows exactly three things about the layout it walks — how to fetch a
+// node's neighbors, how to score a node against the query, and which
+// nodes the caller admits — so the dynamic graph, the frozen float
+// arena and the frozen SQ8 code slab all share it.
+type walk struct {
+	// neighbors returns the links of node u on layer l: the locked
+	// per-node list restricted to the snapshot (Graph) or a range of
+	// the CSR slab (Frozen).
+	neighbors func(u uint32, l int) []uint32
+	// score returns the distance from the query to node u and bumps the
+	// counter of its domain: st.DistComps for the float32 kernel,
+	// st.QuantComps for the SQ8 byte kernel.
+	score func(u uint32) float32
+	// keep gates admission into the beam's result set on the node's
+	// global ID; nil admits every node. It is called at most once per
+	// visited node.
+	keep func(id int64) bool
+	ids  []int64 // global ID per node; its length sizes the visited set
+	st   *Stats  // Hops land here; score bumps the rest
+}
+
+// descend scores entry, then walks greedily (ef=1) down layers
+// top..stop+1, on each until no neighbor improves. The upper layers are
+// never filtered — they only route the descent, and constraining them
+// would strand the search far from the filtered region.
+func (w *walk) descend(entry uint32, top, stop int) uint32 {
+	cur, curDist := entry, w.score(entry)
+	for l := top; l > stop; l-- {
+		for changed := true; changed; {
+			changed = false
+			w.st.Hops++
+			for _, nb := range w.neighbors(cur, l) {
+				if d := w.score(nb); d < curDist {
+					curDist, cur = d, nb
+					changed = true
+				}
+			}
+		}
+	}
+	return cur
+}
+
+// beam is Algorithm 2: beam search of width ef on layer l, returning up
+// to ef admitted candidates sorted by ascending distance. Every visited
+// node joins the frontier under the usual bound test — exploration is
+// driven by the geometry of the graph, not by the filter — but only
+// admitted nodes count toward the ef result set and therefore toward
+// the termination bound. At low selectivity the collector fills slowly,
+// which keeps the bound wide and forces the beam to keep exploring
+// until it has found ef matching points (or exhausted the connected
+// component): strictly stronger than post-filtering a top-k list.
+func (w *walk) beam(entry uint32, ef, l int) []cand {
+	ctx := ctxPool.Get().(*searchCtx)
+	ctx.reset(len(w.ids))
 	var frontier topk.MinQueue
 	results := topk.New(ef)
 
-	d := g.dist(q, s.vec(entry))
-	st.DistComps++
+	// The beam owns its entry distance: the entry is re-scored here even
+	// when descend just scored it, on every layout, so work stats — not
+	// just results — agree across layouts.
+	d := w.score(entry)
 	ctx.visit(entry)
 	frontier.PushMin(int64(entry), d)
-	results.Push(int64(entry), d)
+	if w.keep == nil || w.keep(w.ids[entry]) {
+		results.Push(int64(entry), d)
+	}
 
 	for frontier.Len() > 0 {
 		c := frontier.PopMin()
 		if c.Dist > results.Bound() {
 			break
 		}
-		st.Hops++
-		for _, nb := range g.neighbors(s, uint32(c.ID), l) {
+		w.st.Hops++
+		for _, nb := range w.neighbors(uint32(c.ID), l) {
 			if !ctx.visit(nb) {
 				continue
 			}
-			dn := g.dist(q, s.vec(nb))
-			st.DistComps++
+			dn := w.score(nb)
 			if !results.Full() || dn < results.Bound() {
 				frontier.PushMin(int64(nb), dn)
-				results.Push(int64(nb), dn)
+				if w.keep == nil || w.keep(w.ids[nb]) {
+					results.Push(int64(nb), dn)
+				}
 			}
 		}
 	}
+	ctxPool.Put(ctx)
 	rs := results.Results()
 	out := make([]cand, len(rs))
 	for i, r := range rs {
@@ -641,57 +676,94 @@ func (g *Graph) searchLayer(s *snap, q []float32, entry uint32, ef, l int, ctx *
 	return out
 }
 
+// walk binds the traversal to a snapshot of the dynamic graph, scoring
+// with the float32 kernel against the dataset.
+func (g *Graph) walk(s *snap, q []float32, keep func(int64) bool, st *Stats) walk {
+	return walk{
+		neighbors: func(u uint32, l int) []uint32 { return g.neighbors(s, u, l) },
+		score: func(u uint32) float32 {
+			st.DistComps++
+			return g.dist(q, s.vec(u))
+		},
+		keep: keep,
+		ids:  s.ids,
+		st:   st,
+	}
+}
+
 // ErrEmpty is returned when searching an index with no vectors.
 var ErrEmpty = errors.New("hnsw: empty index")
 
-// Search returns the approximate k nearest neighbors of q using the
-// configured EfSearch beam width.
-func (g *Graph) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return g.SearchEf(q, k, g.cfg.EfSearch)
+// checkQuery is the argument validation every search shares.
+func checkQuery(n, dim int, q []float32, k int) error {
+	if n == 0 {
+		return ErrEmpty
+	}
+	if len(q) != dim {
+		return fmt.Errorf("hnsw: query dim %d, index dim %d", len(q), dim)
+	}
+	if k <= 0 {
+		return fmt.Errorf("hnsw: non-positive k %d", k)
+	}
+	return nil
 }
 
-// SearchEf returns the approximate k nearest neighbors using beam width
-// max(ef, k). Results carry global IDs and distances in the configured
-// metric (true L2, not squared).
-func (g *Graph) SearchEf(q []float32, k, ef int) ([]topk.Result, Stats, error) {
-	g.epMu.RLock()
-	if g.empty {
-		g.epMu.RUnlock()
-		return nil, Stats{}, ErrEmpty
-	}
-	s := g.snapshotLocked()
-	g.epMu.RUnlock()
-
-	if len(q) != s.dim {
-		return nil, Stats{}, fmt.Errorf("hnsw: query dim %d, index dim %d", len(q), s.dim)
-	}
-	if ef < k {
-		ef = k
-	}
-	var st Stats
-	cur := s.entry
-	curDist := g.dist(q, s.vec(cur))
-	st.DistComps++
-	for l := s.maxL; l >= 1; l-- {
-		cur, curDist = g.greedyStep(&s, q, cur, curDist, l, &st)
-	}
-
-	ctx := ctxPool.Get().(*searchCtx)
-	cands := g.searchLayer(&s, q, cur, ef, 0, ctx, &st)
-	ctxPool.Put(ctx)
-
+// report converts the best k internal candidates (node indices,
+// internal-metric distances) into results with global IDs and
+// user-metric distances (true L2, not squared).
+func report(cands []cand, k int, ids []int64, sqrtL bool) []topk.Result {
 	if len(cands) > k {
 		cands = cands[:k]
 	}
 	out := make([]topk.Result, len(cands))
 	for i, c := range cands {
 		d := c.dist
-		if g.sqrtL {
+		if sqrtL {
 			d = float32(math.Sqrt(float64(d)))
 		}
-		out[i] = topk.Result{ID: s.ids[c.id], Dist: d}
+		out[i] = topk.Result{ID: ids[c.id], Dist: d}
 	}
-	return out, st, nil
+	return out
+}
+
+// Search returns the approximate k nearest neighbors of q using the
+// configured EfSearch beam width.
+func (g *Graph) Search(q []float32, k int) ([]topk.Result, Stats, error) {
+	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, nil)
+}
+
+// SearchEf returns the approximate k nearest neighbors using beam width
+// max(ef, k). Results carry global IDs and distances in the configured
+// metric (true L2, not squared).
+func (g *Graph) SearchEf(q []float32, k, ef int) ([]topk.Result, Stats, error) {
+	return g.SearchEfFiltered(q, k, ef, nil)
+}
+
+// SearchFiltered returns the approximate k nearest neighbors of q whose
+// global ID satisfies keep, using the configured EfSearch beam width.
+func (g *Graph) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, keep)
+}
+
+// SearchEfFiltered is SearchEf with filter pushdown: the predicate is
+// evaluated during traversal and only matching nodes are admitted into
+// the result set, while the frontier still expands through non-matching
+// nodes so the search can tunnel across regions of the graph that the
+// filter excludes (see walk.beam). keep==nil is the unfiltered search;
+// a non-nil keep must be safe for concurrent use if the graph is
+// searched from multiple goroutines.
+func (g *Graph) SearchEfFiltered(q []float32, k, ef int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	g.epMu.RLock()
+	s := g.snapshotLocked()
+	g.epMu.RUnlock()
+
+	if err := checkQuery(len(s.nodes), s.dim, q, k); err != nil {
+		return nil, Stats{}, err
+	}
+	var st Stats
+	w := g.walk(&s, q, keep, &st)
+	cands := w.beam(w.descend(s.entry, s.maxL, 0), max(ef, k), 0)
+	return report(cands, k, s.ids, g.sqrtL), st, nil
 }
 
 // MaxLevel returns the current top layer of the hierarchy.

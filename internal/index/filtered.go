@@ -1,10 +1,6 @@
 package index
 
-import (
-	"repro/internal/hnsw"
-	"repro/internal/topk"
-	"repro/internal/vec"
-)
+import "repro/internal/topk"
 
 // FilteredSearcher is the optional Local capability for filter
 // pushdown: return up to k nearest neighbors whose global ID satisfies
@@ -50,94 +46,4 @@ func SearchFiltered(l Local, q []float32, k int, keep func(int64) bool) ([]topk.
 		out = out[:k]
 	}
 	return out, st, nil
-}
-
-// --- dynamic HNSW ---
-
-func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	rs, st, err := l.g.SearchFiltered(q, k, keep)
-	if err == hnsw.ErrEmpty {
-		return nil, Stats{}, nil
-	}
-	return rs, Stats{DistComps: st.DistComps, Hops: st.Hops}, err
-}
-
-// --- frozen HNSW ---
-
-func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	f := l.frozen.Load()
-	l.searches.Add(1)
-
-	var (
-		rs  []topk.Result
-		hst hnsw.Stats
-		err error
-	)
-	if f.Len() > 0 {
-		rs, hst, err = f.SearchEfFiltered(q, k, l.g.EfSearch(), int(l.rerankK.Load()), keep)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-	}
-	st := Stats{
-		DistComps:  hst.DistComps,
-		Hops:       hst.Hops,
-		QuantComps: hst.QuantComps,
-		Reranked:   hst.Reranked,
-	}
-	l.quantComps.Add(hst.QuantComps)
-	l.reranked.Add(hst.Reranked)
-
-	// Post-freeze tail: exact filtered scan, merged by distance.
-	ds := l.g.DataSnapshot()
-	if ds.Len() > f.Len() {
-		tail := searchTailFiltered(ds, f.Len(), q, k, l.g.Config().Metric, keep)
-		st.DistComps += int64(ds.Len() - f.Len())
-		l.tailScanned.Add(int64(ds.Len() - f.Len()))
-		rs = topk.Merge(k, rs, tail)
-		l.maybeRefreeze(ds.Len()-f.Len(), f.Len())
-	}
-	return rs, st, nil
-}
-
-// searchTailFiltered is searchTail restricted to matching IDs.
-func searchTailFiltered(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, keep func(int64) bool) []topk.Result {
-	dist := metric.Func()
-	sqrtL := metric == vec.L2
-	if sqrtL {
-		dist = vec.SquaredL2Distance
-	}
-	col := topk.New(k)
-	for i := from; i < ds.Len(); i++ {
-		if keep(ds.ID(i)) {
-			col.Push(ds.ID(i), dist(q, ds.At(i)))
-		}
-	}
-	rs := col.Results()
-	if sqrtL {
-		for i := range rs {
-			rs[i].Dist = sqrt32(rs[i].Dist)
-		}
-	}
-	return rs
-}
-
-// --- exact flat scan ---
-
-// SearchFiltered on the flat local is exact brute force over matching
-// rows; the engine's test suite uses it as filtered ground truth.
-func (l *flatLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	c := topk.New(k)
-	for i := 0; i < l.ds.Len(); i++ {
-		if keep(l.ds.ID(i)) {
-			c.Push(l.ds.ID(i), l.dist(q, l.ds.At(i)))
-		}
-	}
-	rs := c.Results()
-	if l.sqrtL {
-		for i := range rs {
-			rs[i].Dist = sqrt32(rs[i].Dist)
-		}
-	}
-	return rs, Stats{DistComps: int64(l.ds.Len())}, nil
 }

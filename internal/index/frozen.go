@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hnsw"
 	"repro/internal/topk"
-	"repro/internal/vec"
 )
 
 // frozenLocal serves a partition from a flat frozen layout (contiguous
@@ -150,6 +149,10 @@ func (l *frozenLocal) maybeRefreeze(tail, frozenLen int) {
 }
 
 func (l *frozenLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
+	return l.SearchFiltered(q, k, nil)
+}
+
+func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
 	f := l.frozen.Load()
 	l.searches.Add(1)
 
@@ -159,7 +162,7 @@ func (l *frozenLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 		err error
 	)
 	if f.Len() > 0 {
-		rs, hst, err = f.SearchEf(q, k, l.g.EfSearch(), int(l.rerankK.Load()))
+		rs, hst, err = f.SearchEfFiltered(q, k, l.g.EfSearch(), int(l.rerankK.Load()), keep)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -175,36 +178,14 @@ func (l *frozenLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 
 	// Rows appended after the freeze: exact scan, merged by distance.
 	ds := l.g.DataSnapshot()
-	if ds.Len() > f.Len() {
-		tail := searchTail(ds, f.Len(), q, k, l.g.Config().Metric)
-		st.DistComps += int64(ds.Len() - f.Len())
-		l.tailScanned.Add(int64(ds.Len() - f.Len()))
+	if tailLen := ds.Len() - f.Len(); tailLen > 0 {
+		tail, scored := scanRows(ds, f.Len(), q, k, l.g.Config().Metric, keep)
+		st.DistComps += int64(scored)
+		l.tailScanned.Add(int64(tailLen))
 		rs = topk.Merge(k, rs, tail)
-		l.maybeRefreeze(ds.Len()-f.Len(), f.Len())
+		l.maybeRefreeze(tailLen, f.Len())
 	}
 	return rs, st, nil
-}
-
-// searchTail brute-force scans rows [from, ds.Len()) reporting
-// distances in the user metric (true L2, not squared), matching the
-// frozen path so the merge compares like with like.
-func searchTail(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric) []topk.Result {
-	dist := metric.Func()
-	sqrtL := metric == vec.L2
-	if sqrtL {
-		dist = vec.SquaredL2Distance
-	}
-	col := topk.New(k)
-	for i := from; i < ds.Len(); i++ {
-		col.Push(ds.ID(i), dist(q, ds.At(i)))
-	}
-	rs := col.Results()
-	if sqrtL {
-		for i := range rs {
-			rs[i].Dist = sqrt32(rs[i].Dist)
-		}
-	}
-	return rs
 }
 
 func (l *frozenLocal) Len() int     { return l.g.Len() }

@@ -86,6 +86,34 @@ func TestFrozenLocalTailMerge(t *testing.T) {
 	if fst.FrozenLen != 300 || !fst.Quantized || fst.ArenaBytes <= 0 {
 		t.Errorf("frozen stats: %+v", fst)
 	}
+
+	// Filtered: the tail scan visits every tail row but only scores the
+	// ones the predicate admits, and DistComps reports the scored ones.
+	for i := 0; i < 4; i++ {
+		if _, err := g.Add(probe, int64(900002+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(id int64) bool { return id%2 == 0 } // tail rows 900002, 900004
+	view, _ := FrozenView(fl)
+	_, base, err := view.SearchEfFiltered(probe, 3, g.EfSearch(), 0, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, st, err = fl.(FilteredSearcher).SearchFiltered(probe, 3, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 3 || rs[0].ID != 900002 || rs[1].ID != 900004 {
+		t.Fatalf("filtered tail rows not served: %v", rs)
+	}
+	if got := st.DistComps - base.DistComps; got != 2 {
+		t.Errorf("filtered tail scan reported %d distance computations, want 2 (matching tail rows)", got)
+	}
+	after, _ := FrozenLocalStats(fl)
+	if got := after.TailScanned - fst.TailScanned; got != 5 {
+		t.Errorf("filtered tail scan visited %d rows, want 5", got)
+	}
 }
 
 // TestFrozenLocalBackgroundRefreeze: once the tail outgrows the

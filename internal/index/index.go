@@ -99,7 +99,11 @@ func NewHNSWBuilder(cfg hnsw.Config) Builder {
 }
 
 func (l *hnswLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	rs, st, err := l.g.Search(q, k)
+	return l.SearchFiltered(q, k, nil)
+}
+
+func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	rs, st, err := l.g.SearchFiltered(q, k, keep)
 	if err == hnsw.ErrEmpty {
 		return nil, Stats{}, nil
 	}
@@ -188,37 +192,52 @@ func (l *kdLocal) Kind() string { return "kd" }
 type flatLocal struct {
 	ds     *vec.Dataset
 	metric vec.Metric
-	dist   vec.DistFunc
-	sqrtL  bool
 }
 
 func buildFlat(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
-	l := &flatLocal{ds: ds, metric: metric}
-	if metric == vec.L2 {
-		l.dist = vec.SquaredL2Distance
-		l.sqrtL = true
-	} else {
-		l.dist = metric.Func()
-	}
-	return l, nil
+	return &flatLocal{ds: ds, metric: metric}, nil
 }
 
 func (l *flatLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	c := topk.New(k)
-	for i := 0; i < l.ds.Len(); i++ {
-		c.Push(l.ds.ID(i), l.dist(q, l.ds.At(i)))
-	}
-	rs := c.Results()
-	if l.sqrtL {
-		for i := range rs {
-			rs[i].Dist = sqrt32(rs[i].Dist)
-		}
-	}
-	return rs, Stats{DistComps: int64(l.ds.Len())}, nil
+	return l.SearchFiltered(q, k, nil)
+}
+
+// SearchFiltered on the flat local is exact brute force over matching
+// rows; the engine's test suite uses it as filtered ground truth.
+func (l *flatLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	rs, scored := scanRows(l.ds, 0, q, k, l.metric, keep)
+	return rs, Stats{DistComps: int64(scored)}, nil
 }
 
 func (l *flatLocal) Len() int     { return l.ds.Len() }
 func (l *flatLocal) Kind() string { return "flat" }
+
+// scanRows brute-force scans rows [from, ds.Len()) admitted by keep
+// (nil admits every row) and returns the k nearest, with distances in
+// the user metric (true L2, not squared) so merges compare like with
+// like, plus the number of rows it scored.
+func scanRows(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, keep func(int64) bool) ([]topk.Result, int) {
+	dist := metric.Func()
+	sqrtL := metric == vec.L2
+	if sqrtL {
+		dist = vec.SquaredL2Distance
+	}
+	col := topk.New(k)
+	scored := 0
+	for i := from; i < ds.Len(); i++ {
+		if keep == nil || keep(ds.ID(i)) {
+			col.Push(ds.ID(i), dist(q, ds.At(i)))
+			scored++
+		}
+	}
+	rs := col.Results()
+	if sqrtL {
+		for i := range rs {
+			rs[i].Dist = sqrt32(rs[i].Dist)
+		}
+	}
+	return rs, scored
+}
 
 func sqrt32(x float32) float32 {
 	if x <= 0 {

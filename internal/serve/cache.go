@@ -46,71 +46,65 @@ type flight struct {
 	err  error
 }
 
-// resultCache is a bounded LRU of recent results plus a single-flight
-// table of in-progress searches. Result slices stored here are treated
-// as immutable by every reader.
-type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // front = most recently used
-	items   map[uint64]*list.Element
-	flights map[uint64]*flight
+// lru is a bounded least-recently-used map from request fingerprint to
+// result row. Rows stored here are treated as immutable by every
+// reader. Each tenant holds two: search rows (inside resultCache) and
+// fused hybrid rows.
+type lru[V any] struct {
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	items map[uint64]*list.Element
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key uint64
-	res []topk.Result
+	val V
 }
 
-// newResultCache returns a cache retaining up to capacity entries;
-// capacity <= 0 disables storage (single-flight dedup still works).
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		cap:     capacity,
-		ll:      list.New(),
-		items:   make(map[uint64]*list.Element),
-		flights: make(map[uint64]*flight),
-	}
+// newLRU returns an LRU retaining up to capacity entries; capacity <= 0
+// disables storage.
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[uint64]*list.Element)}
 }
 
-// get returns a cached result row and refreshes its recency.
-func (c *resultCache) get(key uint64) ([]topk.Result, bool) {
+// get returns a cached row and refreshes its recency.
+func (c *lru[V]) get(key uint64) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores a result row, evicting the least recently used entry past
+// put stores a row, evicting the least recently used entry past
 // capacity.
-func (c *resultCache) put(key uint64, res []topk.Result) {
+func (c *lru[V]) put(key uint64, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
+		delete(c.items, last.Value.(*lruEntry[V]).key)
 	}
 }
 
 // purge drops every cached entry. Mutations call it: any cached row may
-// now contain a deleted ID or miss a fresh insert. In-flight searches
-// (flights) are left alone — they resolve against whichever engine state
-// their batch ran on, which is always a valid snapshot.
-func (c *resultCache) purge() {
+// now contain a deleted ID or miss a fresh insert.
+func (c *lru[V]) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
@@ -118,10 +112,23 @@ func (c *resultCache) purge() {
 }
 
 // Len reports the number of cached entries.
-func (c *resultCache) Len() int {
+func (c *lru[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// resultCache is the search LRU plus a single-flight table of
+// in-progress searches (capacity <= 0 still dedups). A purge leaves
+// flights alone — they resolve against whichever engine state their
+// batch ran on, which is always a valid snapshot.
+type resultCache struct {
+	*lru[[]topk.Result]
+	flights map[uint64]*flight
+}
+
+func newResultCache(capacity int) *resultCache {
+	return &resultCache{lru: newLRU[[]topk.Result](capacity), flights: make(map[uint64]*flight)}
 }
 
 // startFlight registers interest in key. The first caller becomes the

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -10,7 +9,6 @@ import (
 	"hash/fnv"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/collection"
@@ -96,67 +94,6 @@ func hybridCacheKey(tenant, canon, text string, q []float32, k int, fusion strin
 		h.Write(b[:4])
 	}
 	return h.Sum64()
-}
-
-// hybridCache is a bounded LRU of fused hybrid rows. Stored slices are
-// immutable by convention.
-type hybridCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[uint64]*list.Element
-}
-
-type hybridEntry struct {
-	key uint64
-	res []core.HybridResult
-}
-
-func newHybridCache(capacity int) *hybridCache {
-	return &hybridCache{cap: capacity, ll: list.New(), items: make(map[uint64]*list.Element)}
-}
-
-func (c *hybridCache) get(key uint64) ([]core.HybridResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*hybridEntry).res, true
-}
-
-func (c *hybridCache) put(key uint64, res []core.HybridResult) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*hybridEntry).res = res
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&hybridEntry{key: key, res: res})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*hybridEntry).key)
-	}
-}
-
-func (c *hybridCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[uint64]*list.Element)
-}
-
-func (c *hybridCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 func (s *Server) handleHybrid(w http.ResponseWriter, r *http.Request) {

@@ -25,7 +25,7 @@ type tenant struct {
 	batcher *Batcher
 	cache   *resultCache
 	// hybrid caches fused hybrid rows; purged wherever cache is.
-	hybrid *hybridCache
+	hybrid *lru[[]core.HybridResult]
 	// col is set for registry-backed tenants; nil for the plain
 	// single-backend "default" tenant.
 	col *collection.Collection
@@ -96,7 +96,7 @@ func (s *Server) newTenant(name string, backend Backend, col *collection.Collect
 		backend: backend,
 		batcher: NewBatcher(backend, s.cfg.Batcher, s.stats),
 		cache:   newResultCache(s.cfg.CacheSize),
-		hybrid:  newHybridCache(s.cfg.CacheSize),
+		hybrid:  newLRU[[]core.HybridResult](s.cfg.CacheSize),
 		col:     col,
 	}
 	// Routed backends report topology transitions (shard-map swaps,

@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke fuzz-smoke clean
+.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair fuzz-smoke clean
 
 all: build
 
@@ -67,6 +67,18 @@ bench:
 # (plain `annbench -json BENCH_results.json`).
 bench-smoke:
 	$(GO) run ./cmd/annbench -json /tmp/bench-smoke.json -points 20000 -queries 400 -gate
+
+# Parent-vs-change on one annload workload, the way a performance PR is
+# judged: PAIRS alternating runs of `bench/run.sh --trace 0` on a git
+# worktree of PARENT and on the working tree, then per end-to-end metric
+# both sides' median and quartiles, the pair win count and the relative
+# difference beside the bound from BENCHMARK.json. About a minute per
+# pair. Example: make bench-pair PARENT=main WORKLOAD=hybrid
+PARENT ?= HEAD~1
+WORKLOAD ?= hybrid
+PAIRS ?= 10
+bench-pair:
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Short native-fuzzing passes: the WAL record scanner (no input may
 # panic it or deliver a record whose CRC does not verify), the

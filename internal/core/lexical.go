@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/filter"
 	"repro/internal/fusion"
 	"repro/internal/lexical"
+	"repro/internal/topk"
 )
 
 // Hybrid retrieval: the engine owns a BM25 inverted index
@@ -145,9 +148,14 @@ func (e *Engine) RestoreTexts(docs map[int64]lexical.Doc) { e.lexIndex().Restore
 
 // lexAllow builds the candidate predicate for the lexical leg:
 // tombstoned documents never score, and an optional filter expression
-// restricts further (same semantics as filtered vector search).
+// restricts further (same semantics as filtered vector search). The
+// tombstone lock is taken here once; only while tombstones exist does
+// the predicate take it again, and the index asks it once per document.
 func (e *Engine) lexAllow(f *filter.Expr) func(int64) bool {
 	keep := e.FilterPredicate(f)
+	if e.Tombstones() == 0 {
+		return keep
+	}
 	return func(id int64) bool {
 		if e.Deleted(id) {
 			return false
@@ -190,49 +198,71 @@ func (e *Engine) SearchHybrid(q []float32, text string, k int, opts HybridOption
 
 	lex := e.lexIndex()
 	dist := e.cfg.Metric.Func()
+	exactDist := func(id int64) (float32, bool) {
+		if v, ok := lex.Vector(id); ok && len(v) == len(q) {
+			return dist(q, v), true
+		}
+		return 0, false
+	}
 
-	// Vector leg: the engine's one read path, then exact re-scoring of
-	// every candidate whose stored vector is known.
-	var vecLeg []fusion.Candidate
-	exact := make(map[int64]float32)
+	// The legs: the engine's one read path, and BM25 under the same
+	// predicates.
+	var rs []topk.Result
 	if len(q) != 0 {
-		rs, err := e.SearchFiltered(q, opts.LegK, opts.Filter)
-		if err != nil {
+		var err error
+		if rs, err = e.SearchFiltered(q, opts.LegK, opts.Filter); err != nil {
 			return nil, err
 		}
-		vecLeg = make([]fusion.Candidate, 0, len(rs))
-		for _, r := range rs {
-			d := r.Dist
-			if v, ok := lex.Vector(r.ID); ok && len(v) == len(q) {
-				d = dist(q, v)
-			}
-			exact[r.ID] = d
-			vecLeg = append(vecLeg, fusion.Candidate{ID: r.ID, Score: -float64(d)})
-		}
-		// Re-scoring may reorder near-equal candidates the approximate
-		// leg surfaced; rank on exact scores with ID tie-breaks so the
-		// leg's ranking is reproducible.
-		fusion.Sort(vecLeg)
+	}
+	var scored []lexical.Scored
+	if text != "" {
+		scored = lex.Search(text, opts.LegK, e.lexAllow(opts.Filter))
 	}
 
-	// Lexical leg: BM25 under the same predicates.
-	var lexLeg []fusion.Candidate
-	bm25 := make(map[int64]float64)
-	if text != "" {
-		scored := lex.Search(text, opts.LegK, e.lexAllow(opts.Filter))
-		lexLeg = make([]fusion.Candidate, 0, len(scored))
-		for _, s := range scored {
-			bm25[s.ID] = s.Score
-			lexLeg = append(lexLeg, fusion.Candidate{ID: s.ID, Score: s.Score})
-			if len(q) != 0 {
-				if _, ok := exact[s.ID]; !ok {
-					if v, ok := lex.Vector(s.ID); ok && len(v) == len(q) {
-						exact[s.ID] = dist(q, v)
-					}
-				}
-			}
+	// One record per candidate of either leg, at most 2·LegK of them.
+	hits := make([]hybridHit, 0, len(rs)+len(scored))
+
+	// Vector candidates are re-scored exactly where the stored vector
+	// is known.
+	vecLeg := make([]fusion.Candidate, 0, len(rs))
+	for _, r := range rs {
+		d, ok := exactDist(r.ID)
+		if !ok {
+			d = r.Dist
 		}
+		hits = append(hits, hybridHit{id: r.ID, dist: d, hasDist: true})
+		vecLeg = append(vecLeg, fusion.Candidate{ID: r.ID, Score: -float64(d)})
 	}
+	// Re-scoring may reorder near-equal candidates the approximate
+	// leg surfaced; rank on exact scores with ID tie-breaks so the
+	// leg's ranking is reproducible.
+	fusion.Sort(vecLeg)
+
+	lexLeg := make([]fusion.Candidate, 0, len(scored))
+	for _, s := range scored {
+		hits = append(hits, hybridHit{id: s.ID, bm25: s.Score})
+		lexLeg = append(lexLeg, fusion.Candidate{ID: s.ID, Score: s.Score})
+	}
+
+	// Order the records by ID for lookup. The sort is stable, so a
+	// document both legs surfaced has its vector record first; fold the
+	// lexical one into it, and give lexical-only documents their exact
+	// distance.
+	byID := func(a, b hybridHit) int { return cmp.Compare(a.id, b.id) }
+	slices.SortStableFunc(hits, byID)
+	n := 0
+	for _, h := range hits {
+		if n > 0 && hits[n-1].id == h.id {
+			hits[n-1].bm25 = h.bm25
+			continue
+		}
+		if !h.hasDist && len(q) != 0 {
+			h.dist, h.hasDist = exactDist(h.id)
+		}
+		hits[n] = h
+		n++
+	}
+	hits = hits[:n]
 
 	var fused []fusion.Candidate
 	if opts.Fusion == FusionWeighted {
@@ -242,11 +272,18 @@ func (e *Engine) SearchHybrid(q []float32, text string, k int, opts HybridOption
 	}
 	out := make([]HybridResult, len(fused))
 	for i, c := range fused {
-		r := HybridResult{ID: c.ID, Score: c.Score, BM25: bm25[c.ID]}
-		if d, ok := exact[c.ID]; ok && len(q) != 0 {
-			r.Dist, r.HasDist = d, true
-		}
-		out[i] = r
+		j, _ := slices.BinarySearchFunc(hits, hybridHit{id: c.ID}, byID)
+		h := hits[j] // every fused candidate came from a leg
+		out[i] = HybridResult{ID: c.ID, Score: c.Score, Dist: h.dist, HasDist: h.hasDist, BM25: h.bm25}
 	}
 	return out, nil
+}
+
+// hybridHit is what SearchHybrid knows about one candidate besides its
+// fused score: the exact distance and the BM25 score, where it has them.
+type hybridHit struct {
+	id      int64
+	bm25    float64
+	dist    float32
+	hasDist bool
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -210,9 +211,18 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// Lock-free readers vs a writer under the race detector.
+// Lock-free readers vs a writer under the race detector. IDs 1000-1003
+// are replaced over and over and never deleted, and every version of
+// them holds "pinned": a search for it must return each of the four
+// exactly once, whichever version it caught. No search may return an ID
+// twice. The writer also keeps adding IDs, so the document table is
+// re-published under the readers.
 func TestConcurrentSearchAndSet(t *testing.T) {
 	x := NewIndex(Config{})
+	pinned := []int64{1000, 1001, 1002, 1003}
+	for _, id := range pinned {
+		x.Set(id, "pinned common", nil)
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -225,15 +235,39 @@ func TestConcurrentSearchAndSet(t *testing.T) {
 					return
 				default:
 				}
-				x.Search(fmt.Sprintf("word%d common", r), 5, nil)
+				seen := map[int64]bool{}
+				for _, s := range x.Search(fmt.Sprintf("word%d common", r), 5000, nil) {
+					if seen[s.ID] {
+						t.Errorf("id %d returned twice", s.ID)
+						return
+					}
+					seen[s.ID] = true
+				}
+				query := []string{"pinned", "pinned common", "filler pinned"}[r%3]
+				got := x.Search(query, 5000, nil)
+				var ids []int64
+				for _, s := range got {
+					if s.ID >= 1000 && s.ID <= 1003 {
+						ids = append(ids, s.ID)
+					}
+				}
+				sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+				if !reflect.DeepEqual(ids, pinned) {
+					t.Errorf("query %q returned pinned ids %v, want each of %v once", query, ids, pinned)
+					return
+				}
 				x.Stats()
 			}
 		}(r)
 	}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 6000; i++ {
+		x.Set(pinned[i%4], fmt.Sprintf("pinned word%d common filler%d", i%8, i), nil)
 		x.Set(int64(i%100), fmt.Sprintf("word%d common filler%d", i%8, i), nil)
 		if i%17 == 0 {
 			x.Delete(int64(i % 100))
+		}
+		if i%10 == 0 {
+			x.Set(int64(2000+i), "common filler", nil)
 		}
 	}
 	close(stop)
@@ -246,7 +280,7 @@ func TestStats(t *testing.T) {
 	x.Set(2, "one", nil)
 	x.Search("one", 5, nil)
 	st := x.Stats()
-	if st.Docs != 2 || st.Terms != 3 || st.Searches != 1 {
+	if st.Docs != 2 || st.Terms != 3 || st.Searches != 1 || st.PostingsScanned != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 	if st.AvgDocLen != 2 {

@@ -5,6 +5,17 @@
 // published values, a single mutex serializes writers — so the hybrid
 // search hot path can score while upserts stream in.
 //
+// Layout. A document ID is given a dense uint32 ordinal at its first Set
+// and keeps it. A posting is 16 bytes (version, ordinal, tf), appended
+// to its term's list and never removed. The document table is a slice
+// of atomic pointers indexed by ordinal, each to the document's current
+// immutable entry (ID, version, token count, text, vector) or nil after
+// a Delete; a posting counts only while its version is the entry's.
+// Search resolves a posting with one array index, adds scores into a
+// pooled []float64 indexed by ordinal (a touched-ordinal list resets
+// it), and keeps the top k in a k-sized heap: no map, no sort over
+// every hit, nothing sized by the corpus allocated per query.
+//
 // Durability is owned by the store layer: raw document text rides a
 // dedicated WAL record and a CRC-checked text-<seq>.json checkpoint
 // sidecar, and the index is rebuilt by re-tokenizing on recovery. The

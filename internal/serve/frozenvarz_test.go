@@ -44,3 +44,24 @@ func TestVarzFrozenSection(t *testing.T) {
 		t.Errorf("rerank_ratio = %v, want in (0,1)", rr)
 	}
 }
+
+// TestVarzLexicalWork: the single-node lexical section carries the BM25
+// leg's work counter next to its search count, so postings per search
+// can be read off a running server.
+func TestVarzLexicalWork(t *testing.T) {
+	e := testEngine(t)
+	b := &EngineBackend{Engine: e, Lexical: true}
+	for id := int64(0); id < 30; id++ {
+		text := "common"
+		if id%3 == 0 {
+			text = "common rare"
+		}
+		e.SetText(id, text, nil)
+	}
+	e.SearchLexical("common rare", 5, nil) // 30 + 10 postings
+	e.SearchLexical("rare", 5, nil)        // 10
+	lz := b.Varz()["lexical"].(map[string]any)
+	if lz["searches"].(int64) != 2 || lz["postings_scanned"].(int64) != 50 {
+		t.Fatalf("lexical varz: %v", lz)
+	}
+}

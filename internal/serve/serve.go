@@ -262,13 +262,14 @@ func (b *EngineBackend) Varz() map[string]any {
 	if b.Lexical {
 		ls := b.Engine.LexicalStats()
 		m["lexical"] = map[string]any{
-			"docs":           ls.Docs,
-			"terms":          ls.Terms,
-			"postings_bytes": ls.PostingsBytes,
-			"avg_doc_len":    ls.AvgDocLen,
-			"searches":       ls.Searches,
-			"k1":             ls.K1,
-			"b":              ls.B,
+			"docs":             ls.Docs,
+			"terms":            ls.Terms,
+			"postings_bytes":   ls.PostingsBytes,
+			"avg_doc_len":      ls.AvgDocLen,
+			"searches":         ls.Searches,
+			"postings_scanned": ls.PostingsScanned,
+			"k1":               ls.K1,
+			"b":                ls.B,
 		}
 	}
 	if fi, ok := b.Engine.FrozenInfo(); ok {

@@ -81,9 +81,12 @@ bench-pair:
 	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Short native-fuzzing passes: the WAL record scanner (no input may
-# panic it or deliver a record whose CRC does not verify), the
-# upsert-text record codec (exact-length framing, byte-stable
-# re-encode), the SQ8 codec (non-finite rejection, round-trip bounds),
+# panic it or deliver a record whose CRC does not verify), the one
+# upsert record — every kind, with fuzzed tags, text and vector
+# (FuzzTextRecord, named for the kind it started with: validation
+# accepts a record if and only if it round-trips through the codec
+# with exact-length framing and a byte-stable re-encode, and what it
+# refuses never reaches the log), the SQ8 codec (non-finite rejection, round-trip bounds),
 # the filter expression parser (no panic, canonical-form fixed point,
 # reparse equivalence), and the lexical tokenizer (no panic,
 # deterministic, only lowercased alphanumeric terms). CI runs this on

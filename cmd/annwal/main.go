@@ -5,8 +5,9 @@
 //
 //	annwal /var/lib/ann/store
 //
-// Dump every WAL record; upsert-tagged records show their tag count and
-// upsert-text records show the text length plus a short preview:
+// Dump every WAL record; kinds carrying a tag block show their tag
+// count and kinds carrying a text block show the text length plus a
+// short preview:
 //
 //	annwal -dump /var/lib/ann/store
 //
@@ -77,9 +78,10 @@ func doScan(dir string, dump bool) {
 		fmt.Printf("manifest: %v\n", err)
 	}
 	var (
-		total, upserts, tagged, texted, deletes int
-		first, last                             uint64
-		byPart                                  = map[int]int{}
+		total       int
+		first, last uint64
+		byKind      [256]int // indexed by the record's type byte
+		byPart      = map[int]int{}
 	)
 	err := store.ScanWAL(dir, func(r store.Record) error {
 		if total == 0 {
@@ -87,32 +89,23 @@ func doScan(dir string, dump bool) {
 		}
 		last = r.Seq
 		total++
-		switch r.Type {
-		case store.RecordUpsert:
-			upserts++
+		byKind[r.Type]++
+		if r.Type.IsUpsert() {
 			byPart[r.Part]++
-		case store.RecordUpsertTagged:
-			tagged++
-			byPart[r.Part]++
-		case store.RecordUpsertText:
-			texted++
-			byPart[r.Part]++
-		case store.RecordDelete:
-			deletes++
 		}
 		if dump {
-			switch r.Type {
-			case store.RecordUpsert:
-				fmt.Printf("%8d  upsert  id=%-12d part=%d level=%d dim=%d\n", r.Seq, r.ID, r.Part, r.Level, len(r.Vec))
-			case store.RecordUpsertTagged:
-				fmt.Printf("%8d  %s  id=%-12d part=%d level=%d dim=%d tags=%d\n",
-					r.Seq, r.Type, r.ID, r.Part, r.Level, len(r.Vec), len(r.Tags))
-			case store.RecordUpsertText:
-				fmt.Printf("%8d  %s  id=%-12d part=%d level=%d dim=%d text=%dB %q\n",
-					r.Seq, r.Type, r.ID, r.Part, r.Level, len(r.Vec), len(r.Text), textPreview(r.Text))
-			default:
-				fmt.Printf("%8d  %-6s  id=%d\n", r.Seq, r.Type, r.ID)
+			if r.Type.IsUpsert() {
+				fmt.Printf("%8d  %-18s  id=%-12d part=%d level=%d dim=%d", r.Seq, r.Type, r.ID, r.Part, r.Level, len(r.Vec))
+			} else {
+				fmt.Printf("%8d  %-18s  id=%d", r.Seq, r.Type, r.ID)
 			}
+			if r.Type.HasTags() {
+				fmt.Printf(" tags=%d", len(r.Tags))
+			}
+			if r.Type.HasText() {
+				fmt.Printf(" text=%dB %q", len(r.Text), textPreview(r.Text))
+			}
+			fmt.Println()
 		}
 		return nil
 	})
@@ -123,8 +116,15 @@ func doScan(dir string, dump bool) {
 		}
 		log.Fatal(err)
 	}
-	fmt.Printf("wal: %d records (seq %d..%d): %d upserts, %d tagged, %d text, %d deletes\n",
-		total, first, last, upserts, tagged, texted, deletes)
+	fmt.Printf("wal: %d records (seq %d..%d)", total, first, last)
+	sep := ": "
+	for t, n := range byKind {
+		if n > 0 {
+			fmt.Printf("%s%d %s", sep, n, store.RecordType(t))
+			sep = ", "
+		}
+	}
+	fmt.Println()
 	parts := make([]int, 0, len(byPart))
 	for p := range byPart {
 		parts = append(parts, p)

@@ -256,35 +256,11 @@ func (c *Collection) SearchBatchFiltered(ctx context.Context, queries *vec.Datas
 	return c.Engine().SearchBatchFiltered(ctx, queries, k, f, threads)
 }
 
-// Upsert durably inserts a vector.
-func (c *Collection) Upsert(v []float32, id int64) error {
-	if err := c.checkDim(v); err != nil {
-		return err
-	}
-	if err := c.acquire(); err != nil {
-		return err
-	}
-	defer c.release()
-	return c.dur.Upsert(v, id)
-}
-
-// UpsertTagged durably inserts a vector with its metadata tags.
-func (c *Collection) UpsertTagged(v []float32, id int64, tags map[string]string) error {
-	if err := c.checkDim(v); err != nil {
-		return err
-	}
-	if err := c.acquire(); err != nil {
-		return err
-	}
-	defer c.release()
-	return c.dur.UpsertTagged(v, id, tags)
-}
-
-// UpsertText durably inserts a vector together with document text for
-// hybrid retrieval. The collection must have been created with
-// "lexical": true.
-func (c *Collection) UpsertText(v []float32, id int64, text string) error {
-	if !c.cfg.Lexical {
+// Upsert durably inserts a vector with its optional attributes (tags
+// for filtered search, document text for hybrid retrieval). Text needs a
+// collection created with "lexical": true.
+func (c *Collection) Upsert(v []float32, id int64, a store.Attrs) error {
+	if a.Text != nil && !c.cfg.Lexical {
 		return fmt.Errorf("%w: %q", ErrLexicalDisabled, c.name)
 	}
 	if err := c.checkDim(v); err != nil {
@@ -294,7 +270,7 @@ func (c *Collection) UpsertText(v []float32, id int64, text string) error {
 		return err
 	}
 	defer c.release()
-	return c.dur.UpsertText(v, id, text)
+	return c.dur.UpsertWith(v, id, a)
 }
 
 // SearchHybrid answers a hybrid (vector + BM25 text) query, fusing the

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/fsx"
+	"repro/internal/store"
 )
 
 func testRegistry(t *testing.T) *Registry {
@@ -74,11 +76,11 @@ func TestLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for id := int64(0); id < 100; id++ {
 		tags := map[string]string{"lang": []string{"en", "de"}[id%2]}
-		if err := c.UpsertTagged(randVec(rng, 8), id, tags); err != nil {
+		if err := c.Upsert(randVec(rng, 8), id, store.Attrs{Tags: tags}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Upsert(randVec(rng, 4), 999); err == nil {
+	if err := c.Upsert(randVec(rng, 4), 999, store.Attrs{}); err == nil {
 		t.Fatal("upsert with wrong dim succeeded")
 	}
 	rs, err := c.SearchFiltered(randVec(rng, 8), 5, filter.MustParse("lang=en"))
@@ -213,7 +215,7 @@ func TestTwoCollectionsConcurrentIsolation(t *testing.T) {
 		for i := int64(0); !stop.Load(); i++ {
 			id := base + i
 			tags := map[string]string{"col": c.Name(), "par": fmt.Sprintf("%d", i%2)}
-			if err := c.UpsertTagged(randVec(rng, dim), id, tags); err != nil {
+			if err := c.Upsert(randVec(rng, dim), id, store.Attrs{Tags: tags}); err != nil {
 				fail(fmt.Errorf("%s upsert: %w", c.Name(), err))
 				return
 			}
@@ -296,7 +298,7 @@ func TestFrozenCollection(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for id := int64(0); id < 300; id++ {
-		if err := c.UpsertTagged(randVec(rng, 8), id, map[string]string{"m": fmt.Sprintf("%d", id%3)}); err != nil {
+		if err := c.Upsert(randVec(rng, 8), id, store.Attrs{Tags: map[string]string{"m": fmt.Sprintf("%d", id%3)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,5 +313,42 @@ func TestFrozenCollection(t *testing.T) {
 		if res.ID%3 != 1 {
 			t.Fatalf("m=1 returned id %d", res.ID)
 		}
+	}
+}
+
+// TestCreateConfigPublishFailure: collection.json is published last,
+// through the registry's FS with fsx.WriteAtomic — so it is fsynced
+// before the rename. A publish that dies at either step fails Create,
+// the next Open finds no collection there, and the name can be created
+// again.
+func TestCreateConfigPublishFailure(t *testing.T) {
+	for _, op := range []fsx.Op{fsx.OpSync, fsx.OpRename} {
+		root := t.TempDir()
+		fs := fsx.NewFaulty(fsx.OS{}, 1, fsx.Rule{Op: op, Nth: 1, Path: configName})
+		opts := Options{Store: store.Options{FS: fs, CompactRatio: -1}}
+		r, err := Open(root, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Create("c", Config{Dim: 4}); !errors.Is(err, fsx.ErrInjected) {
+			t.Fatalf("Create with collection.json's %v failing = %v, want the injected fault", op, err)
+		}
+		if _, err := r.Get("c"); !errors.Is(err, ErrUnknown) {
+			t.Fatalf("half-created collection is registered: %v", err)
+		}
+		if err := r.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Open(root, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := r2.Names(); len(names) != 0 {
+			t.Fatalf("reopen found %v after a failed create", names)
+		}
+		if _, err := r2.Create("c", Config{Dim: 4}); err != nil {
+			t.Fatalf("re-create after a failed create: %v", err)
+		}
+		r2.Close(context.Background())
 	}
 }

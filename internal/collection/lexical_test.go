@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // TestLexicalGate: text upserts and hybrid searches require
@@ -18,8 +19,9 @@ func TestLexicalGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := make([]float32, 8)
-	if err := plain.UpsertText(v, 1, "hello"); !errors.Is(err, ErrLexicalDisabled) {
-		t.Fatalf("UpsertText on non-lexical collection = %v, want ErrLexicalDisabled", err)
+	hello := "hello"
+	if err := plain.Upsert(v, 1, store.Attrs{Text: &hello}); !errors.Is(err, ErrLexicalDisabled) {
+		t.Fatalf("text upsert on non-lexical collection = %v, want ErrLexicalDisabled", err)
 	}
 	if _, err := plain.SearchHybrid(v, "hello", 5, core.HybridOptions{}); !errors.Is(err, ErrLexicalDisabled) {
 		t.Fatalf("SearchHybrid on non-lexical collection = %v, want ErrLexicalDisabled", err)
@@ -47,7 +49,7 @@ func TestLexicalLifecycle(t *testing.T) {
 		if id == 17 {
 			text = "the zebra sighting"
 		}
-		if err := c.UpsertText(randVec(rng, 8), id, text); err != nil {
+		if err := c.Upsert(randVec(rng, 8), id, store.Attrs{Text: &text}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fsx"
 	"repro/internal/hnsw"
 	"repro/internal/store"
 )
@@ -139,9 +140,10 @@ func (r *Registry) closeWith(err error) error {
 }
 
 // Create makes a new empty collection: engine, store directory, and
-// config file. The config write is tmp+rename, and it happens LAST —
-// a crash mid-create leaves a directory without collection.json, which
-// the next Open skips (and a re-Create of the same name replaces).
+// config file. The config write is atomic and durable (fsx.WriteAtomic),
+// and it happens LAST — a crash mid-create leaves a directory without
+// collection.json, which the next Open skips (and a re-Create of the
+// same name replaces).
 func (r *Registry) Create(name string, cfg Config) (*Collection, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -189,12 +191,11 @@ func (r *Registry) Create(name string, cfg Config) (*Collection, error) {
 		d.Close()
 		return nil, err
 	}
-	tmp := filepath.Join(dir, configName+".tmp")
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		d.Close()
-		return nil, err
+	fs := r.opts.Store.FS // the drills' fault injector covers the config publish too
+	if fs == nil {
+		fs = fsx.OS{}
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, configName)); err != nil {
+	if _, _, err := fsx.WriteFileAtomic(fs, filepath.Join(dir, configName), append(b, '\n')); err != nil {
 		d.Close()
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package fsx
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -260,5 +262,67 @@ func TestParseFaults(t *testing.T) {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q): want error", bad)
 		}
+	}
+}
+
+// TestWriteAtomic: the published file is the old content or the new,
+// whichever single operation dies; the sequence is open, write, sync,
+// rename, syncdir, once each; and the returned checksum covers exactly
+// the bytes written.
+func TestWriteAtomic(t *testing.T) {
+	oldContent, newContent := []byte("old"), []byte("new content")
+	for _, c := range []struct {
+		op      Op
+		wantNew bool // the rename happened before the death
+	}{{OpOpen, false}, {OpWrite, false}, {OpSync, false}, {OpRename, false}, {OpSyncDir, true}} {
+		path := filepath.Join(t.TempDir(), "f.json")
+		if err := os.WriteFile(path, oldContent, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := NewFaulty(OS{}, 1, Rule{Op: c.op, Nth: 1, Crash: true})
+		if _, _, err := WriteFileAtomic(fs, path, newContent); err == nil {
+			t.Fatalf("death at %v not reported", c.op)
+		}
+		want := oldContent
+		if c.wantNew {
+			want = newContent
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Fatalf("death at %v left %q, want %q", c.op, got, want)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "f.json")
+	fs := NewFaulty(OS{}, 1)
+	crc, n, err := WriteAtomic(fs, path, func(w io.Writer) error {
+		for _, b := range newContent { // many small writes reach the file as one
+			if _, err := w.Write([]byte{b}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || n != int64(len(newContent)) || crc != crc32.Checksum(newContent, crc32.MakeTable(crc32.Castagnoli)) {
+		t.Fatalf("WriteAtomic = crc %08x, %d bytes, %v", crc, n, err)
+	}
+	for _, op := range []Op{OpOpen, OpWrite, OpSync, OpRename, OpSyncDir} {
+		if got := fs.Count(op); got != 1 {
+			t.Errorf("%v issued %d times, want once", op, got)
+		}
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, newContent) {
+		t.Fatalf("published %q", got)
+	}
+
+	// A failing producer publishes nothing and leaves no temp behind.
+	boom := errors.New("boom")
+	if _, _, err := WriteAtomic(OS{}, path, func(io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("producer error = %v", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, newContent) {
+		t.Fatalf("failed write changed the file to %q", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 }

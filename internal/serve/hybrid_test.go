@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -161,13 +165,12 @@ func TestHybridTypedErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, data).Code != codeLexicalDisabled {
 		t.Fatalf("lexical disabled upsert: %d %s", resp.StatusCode, data)
 	}
-	// Text and tags on one point is a 400.
+	// Tags the log could not read back are a 400, not an acknowledged
+	// write that breaks the next open.
 	resp, data = postJSON(t, client, url, "/v1/collections/docs/upsert",
-		map[string]any{"points": []map[string]any{
-			{"id": 1, "vector": q, "text": "hello", "tags": map[string]string{"a": "b"}},
-		}})
+		map[string]any{"id": 1, "vector": q, "text": "hello", "tags": map[string]string{"": "b"}})
 	if resp.StatusCode != http.StatusBadRequest || decodeErr(t, data).Code != codeBadRequest {
-		t.Fatalf("text+tags upsert: %d %s", resp.StatusCode, data)
+		t.Fatalf("empty tag key upsert: %d %s", resp.StatusCode, data)
 	}
 	// Unknown collection is still 404.
 	resp, data = postJSON(t, client, url, "/v1/collections/nope/hybrid", map[string]any{"text": "x"})
@@ -215,5 +218,86 @@ func TestHybridVarz(t *testing.T) {
 	}
 	if _, ok := docsSec["hybrid_cache_entries"]; !ok {
 		t.Fatal("varz missing hybrid_cache_entries")
+	}
+}
+
+// TestTagsAndTextOnOnePoint: a point may carry tags and text together
+// (it used to be a 400: the log had no record kind for both), so a
+// hybrid query under a filter can find it — before and after the
+// collection is closed and recovered from its WAL. A point whose tags
+// the log could not read back fails its batch with a 400 that says how
+// many earlier points landed, like every mid-batch failure.
+func TestTagsAndTextOnOnePoint(t *testing.T) {
+	root := t.TempDir()
+	open := func() (*collection.Registry, *httptest.Server) {
+		reg, err := collection.Open(root, collection.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reg.Names()) == 0 {
+			if _, err := reg.Create("docs", collection.Config{Dim: 8, Lexical: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := NewCollectionServer(reg, ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg, httptest.NewServer(s.Handler())
+	}
+	reg, ts := open()
+	vecOf := func(x float32) []float32 { return []float32{x, 0, 0, 0, 0, 0, 0, 0} }
+
+	resp, data := postJSON(t, ts.Client(), ts.URL, "/v1/collections/docs/upsert", map[string]any{"points": []map[string]any{
+		{"id": 1, "vector": vecOf(1), "text": "quartz anomaly report", "tags": map[string]string{"lang": "en"}},
+		{"id": 2, "vector": vecOf(2), "text": "quartz anomaly bericht", "tags": map[string]string{"lang": "de"}},
+		{"id": 3, "vector": vecOf(3), "text": "quartz anomaly untagged"},
+		{"id": 4, "vector": vecOf(4), "tags": map[string]string{"lang": "en"}},
+	}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tags+text upsert: %d %s", resp.StatusCode, data)
+	}
+	filtered := map[string]any{"query": vecOf(1), "text": "quartz anomaly", "k": 5, "filter": "lang=en"}
+	check := func(when string, ts *httptest.Server) []hybridResult {
+		t.Helper()
+		resp, data := postJSON(t, ts.Client(), ts.URL, "/v1/collections/docs/hybrid", filtered)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: filtered hybrid: %d %s", when, resp.StatusCode, data)
+		}
+		rs := decodeHybrid(t, data).Results
+		// Both lang=en points pass the filter; only id 1 has the words.
+		if len(rs) != 2 || rs[0].ID != 1 || rs[0].BM25 <= 0 || rs[1].ID != 4 || rs[1].BM25 != 0 {
+			t.Fatalf("%s: filtered hybrid = %s, want id 1 (bm25 > 0) then id 4", when, data)
+		}
+		return rs
+	}
+	check("fresh", ts)
+
+	// A bad-tag point mid-batch: the two before it land, it does not.
+	resp, data = postJSON(t, ts.Client(), ts.URL, "/v1/collections/docs/upsert", map[string]any{"points": []map[string]any{
+		{"id": 10, "vector": vecOf(10)},
+		{"id": 11, "vector": vecOf(11), "text": "fine"},
+		{"id": 12, "vector": vecOf(12), "text": "not fine", "tags": map[string]string{"": "x"}},
+		{"id": 13, "vector": vecOf(13)},
+	}})
+	if er := decodeErr(t, data); resp.StatusCode != http.StatusBadRequest || er.Code != codeBadRequest ||
+		!strings.Contains(er.Error, "point 2 (id 12) failed after 2 applied") {
+		t.Fatalf("bad-tag point mid-batch: %d %s", resp.StatusCode, data)
+	}
+	col, _ := reg.Get("docs")
+	if st := col.Store().Stats(); st.Upserts != 6 {
+		t.Fatalf("store took %d upserts, want 4 + the 2 before the bad point", st.Upserts)
+	}
+
+	before := check("before close", ts)
+	ts.Close()
+	if err := reg.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reg, ts = open()
+	defer ts.Close()
+	defer reg.Close(context.Background())
+	if after := check("after reopen", ts); !reflect.DeepEqual(after, before) {
+		t.Fatalf("filtered hybrid changed across reopen: %+v, was %+v", after, before)
 	}
 }

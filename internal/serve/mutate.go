@@ -19,14 +19,27 @@ import (
 // never evict another's entries.
 
 // upsertPoint is one (id, vector) pair, optionally tagged for filtered
-// search or carrying document text for hybrid retrieval. Text and tags
-// are mutually exclusive per point — the WAL has one record layout per
-// upsert kind, so a point picks which sidecar it rides.
+// search and/or carrying document text for hybrid retrieval. (A point
+// used to pick one: the WAL had a record kind for tags and one for text
+// but none for both, so no point could match a filtered hybrid query.)
 type upsertPoint struct {
 	ID     int64             `json:"id"`
 	Vector []float32         `json:"vector"`
 	Tags   map[string]string `json:"tags,omitempty"`
 	Text   string            `json:"text,omitempty"`
+}
+
+// attrs are the attributes the point carries. An absent or empty field
+// carries nothing: whatever the ID already has stays.
+func (p *upsertPoint) attrs() store.Attrs {
+	var a store.Attrs
+	if len(p.Tags) > 0 {
+		a.Tags = p.Tags
+	}
+	if p.Text != "" {
+		a.Text = &p.Text
+	}
+	return a
 }
 
 // upsertRequest is the upsert POST body: either a single point
@@ -74,11 +87,15 @@ func (s *Server) mutator(t *tenant, w http.ResponseWriter) (Mutator, bool) {
 }
 
 // mutationStatus maps a mid-batch mutation error to an HTTP status and
-// code: the tenant's admission quota is 429, draining 503, a storage
-// failure that tripped the breaker 503 (the replica is degraded, not
-// the request), anything else 500.
+// code: attributes the log would not read back are 400, the tenant's
+// admission quota is 429, draining 503, a storage failure that tripped
+// the breaker 503 (the replica is degraded, not the request), anything
+// else 500.
 func (s *Server) mutationStatus(err error) (int, string) {
 	switch {
+	case errors.Is(err, store.ErrInvalidUpsert):
+		s.stats.BadRequests.Add(1)
+		return http.StatusBadRequest, codeBadRequest
 	case errors.Is(err, collection.ErrLexicalDisabled):
 		s.stats.BadRequests.Add(1)
 		return http.StatusBadRequest, codeLexicalDisabled
@@ -163,10 +180,6 @@ func (s *Server) upsertTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 			fmt.Sprintf("%d points exceeds the per-request limit %d", len(points), s.cfg.MaxQueries))
 		return
 	}
-	var (
-		tagged TaggedMutator
-		texter TextMutator
-	)
 	dim := t.backend.Dim()
 	for i, p := range points {
 		if len(p.Vector) != dim {
@@ -175,56 +188,18 @@ func (s *Server) upsertTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 				fmt.Sprintf("point %d has dim %d, collection %s has dim %d", i, len(p.Vector), t.name, dim))
 			return
 		}
-		if len(p.Tags) > 0 && p.Text != "" {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest,
-				fmt.Sprintf("point %d carries both tags and text; a point picks one", i))
-			return
-		}
-		if len(p.Tags) > 0 && tagged == nil {
-			tm, ok := mut.(TaggedMutator)
-			if !ok {
-				writeError(w, http.StatusNotImplemented, codeNotImplemented,
-					fmt.Sprintf("point %d carries tags but the backend does not support tagged upserts", i))
-				return
-			}
-			tagged = tm
-		}
-		if p.Text != "" && texter == nil {
-			xm, ok := mut.(TextMutator)
-			if !ok {
-				writeError(w, http.StatusNotImplemented, codeNotImplemented,
-					fmt.Sprintf("point %d carries text but the backend does not support text upserts", i))
-				return
-			}
-			texter = xm
-		}
 	}
-	for i, p := range points {
-		var err error
-		switch {
-		case len(p.Tags) > 0:
-			err = tagged.UpsertTagged(p.Vector, p.ID, p.Tags)
-		case p.Text != "":
-			err = texter.UpsertText(p.Vector, p.ID, p.Text)
-		default:
-			err = mut.Upsert(p.Vector, p.ID)
-		}
-		if err != nil {
-			s.stats.Upserts.Add(int64(i))
-			if i > 0 {
-				t.cache.purge()
-				t.hybrid.purge()
-			}
+	for i := range points {
+		p := &points[i]
+		if err := mut.Upsert(p.Vector, p.ID, p.attrs()); err != nil {
+			t.applied(&s.stats.Upserts, i)
 			status, code := s.mutationStatus(err)
 			writeError(w, status, code,
 				fmt.Sprintf("upsert of point %d (id %d) failed after %d applied: %v", i, p.ID, i, err))
 			return
 		}
 	}
-	s.stats.Upserts.Add(int64(len(points)))
-	t.cache.purge()
-	t.hybrid.purge()
+	t.applied(&s.stats.Upserts, len(points))
 	writeJSON(w, http.StatusOK, mutateResponse{Upserted: len(points)})
 }
 
@@ -269,19 +244,13 @@ func (s *Server) deleteTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 	}
 	for i, id := range ids {
 		if err := mut.Delete(id); err != nil {
-			s.stats.Deletes.Add(int64(i))
-			if i > 0 {
-				t.cache.purge()
-				t.hybrid.purge()
-			}
+			t.applied(&s.stats.Deletes, i)
 			status, code := s.mutationStatus(err)
 			writeError(w, status, code,
 				fmt.Sprintf("delete of id %d failed after %d applied: %v", id, i, err))
 			return
 		}
 	}
-	s.stats.Deletes.Add(int64(len(ids)))
-	t.cache.purge()
-	t.hybrid.purge()
+	t.applied(&s.stats.Deletes, len(ids))
 	writeJSON(w, http.StatusOK, mutateResponse{Deleted: len(ids)})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/collection"
 	"repro/internal/store"
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -197,7 +199,7 @@ func TestEngineBackendWithoutStore(t *testing.T) {
 	e := testEngine(t)
 	b := &EngineBackend{Engine: e}
 	rng := rand.New(rand.NewSource(3))
-	if err := b.Upsert(randQuery(rng, 8), 777); err != nil {
+	if err := b.Upsert(randQuery(rng, 8), 777, store.Attrs{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Delete(777); err != nil {
@@ -208,5 +210,18 @@ func TestEngineBackendWithoutStore(t *testing.T) {
 	}
 	if v := b.Varz(); v["ingest"] != nil {
 		t.Error("varz ingest section present without a store")
+	}
+	// Attributes land in the engine with the vector; text needs Lexical.
+	text := "in memory"
+	both := store.Attrs{Tags: map[string]string{"lang": "en"}, Text: &text}
+	if err := b.Upsert(randQuery(rng, 8), 778, both); !errors.Is(err, collection.ErrLexicalDisabled) {
+		t.Fatalf("text upsert without Lexical = %v, want ErrLexicalDisabled", err)
+	}
+	b.Lexical = true
+	if err := b.Upsert(randQuery(rng, 8), 778, both); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := e.Text(778); got != text || e.Tags(778)["lang"] != "en" {
+		t.Fatalf("in-memory upsert left text %q, tags %v", got, e.Tags(778))
 	}
 }

@@ -96,15 +96,10 @@ type TopologyNotifier interface {
 // called concurrently from handler goroutines — implementations must be
 // thread-safe.
 type Mutator interface {
-	Upsert(v []float32, id int64) error
+	// Upsert inserts a vector with its optional attributes: tags for
+	// filtered search and/or document text for hybrid retrieval.
+	Upsert(v []float32, id int64, a store.Attrs) error
 	Delete(id int64) error
-}
-
-// TaggedMutator is the optional tagged write half: an upsert carrying
-// the point's metadata tags for filtered search. Upserts with tags
-// against a Mutator lacking it are refused with 501.
-type TaggedMutator interface {
-	UpsertTagged(v []float32, id int64, tags map[string]string) error
 }
 
 // HybridBackend is the optional hybrid-retrieval half of a backend: a
@@ -116,13 +111,6 @@ type TaggedMutator interface {
 // lacks this.
 type HybridBackend interface {
 	SearchHybrid(ctx context.Context, q []float32, text string, k int, opts core.HybridOptions) ([]core.HybridResult, error)
-}
-
-// TextMutator is the optional text write half: an upsert carrying the
-// point's document text for hybrid retrieval. Upserts with text against
-// a backend lacking it are refused with 501.
-type TextMutator interface {
-	UpsertText(v []float32, id int64, text string) error
 }
 
 // VarzProvider lets a backend contribute extra top-level sections to
@@ -178,39 +166,25 @@ func (b *EngineBackend) SearchBatchFiltered(ctx context.Context, queries *vec.Da
 	return BatchOutput{Results: res}, err
 }
 
-// Upsert implements Mutator.
-func (b *EngineBackend) Upsert(v []float32, id int64) error {
-	if b.Store != nil {
-		return b.Store.Upsert(v, id)
-	}
-	return b.Engine.Add(v, id)
-}
-
-// UpsertTagged implements TaggedMutator. Without a store the tags land
-// in the in-memory engine only, like the vector itself.
-func (b *EngineBackend) UpsertTagged(v []float32, id int64, tags map[string]string) error {
-	if b.Store != nil {
-		return b.Store.UpsertTagged(v, id, tags)
-	}
-	if err := b.Engine.Add(v, id); err != nil {
-		return err
-	}
-	b.Engine.SetTags(id, tags)
-	return nil
-}
-
-// UpsertText implements TextMutator. Requires Lexical.
-func (b *EngineBackend) UpsertText(v []float32, id int64, text string) error {
-	if !b.Lexical {
+// Upsert implements Mutator. Text requires Lexical. Without a store
+// the attributes land in the in-memory engine only, like the vector
+// itself.
+func (b *EngineBackend) Upsert(v []float32, id int64, a store.Attrs) error {
+	if a.Text != nil && !b.Lexical {
 		return collection.ErrLexicalDisabled
 	}
 	if b.Store != nil {
-		return b.Store.UpsertText(v, id, text)
+		return b.Store.UpsertWith(v, id, a)
 	}
 	if err := b.Engine.Add(v, id); err != nil {
 		return err
 	}
-	b.Engine.SetText(id, text, v)
+	if a.Tags != nil {
+		b.Engine.SetTags(id, a.Tags)
+	}
+	if a.Text != nil {
+		b.Engine.SetText(id, *a.Text, v)
+	}
 	return nil
 }
 

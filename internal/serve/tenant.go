@@ -3,10 +3,12 @@ package serve
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 
 	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/filter"
+	"repro/internal/store"
 	"repro/internal/vec"
 )
 
@@ -24,11 +26,28 @@ type tenant struct {
 	backend Backend
 	batcher *Batcher
 	cache   *resultCache
-	// hybrid caches fused hybrid rows; purged wherever cache is.
+	// hybrid caches fused hybrid rows; purge empties it with cache.
 	hybrid *lru[[]core.HybridResult]
 	// col is set for registry-backed tenants; nil for the plain
 	// single-backend "default" tenant.
 	col *collection.Collection
+}
+
+// purge empties both result caches: whatever they hold was computed
+// before the mutation or topology change that calls this.
+func (t *tenant) purge() {
+	t.cache.purge()
+	t.hybrid.purge()
+}
+
+// applied accounts for the n mutations of a request that landed (all of
+// them, or the ones before a mid-batch failure): they count, and they
+// make every cached row stale.
+func (t *tenant) applied(counter *atomic.Int64, n int) {
+	counter.Add(int64(n))
+	if n > 0 {
+		t.purge()
+	}
 }
 
 // CollectionBackend adapts one collection.Collection to the gateway
@@ -58,18 +77,10 @@ func (b *CollectionBackend) SearchBatchFiltered(ctx context.Context, queries *ve
 	return BatchOutput{Results: res}, err
 }
 
-// Upsert implements Mutator.
-func (b *CollectionBackend) Upsert(v []float32, id int64) error { return b.Col.Upsert(v, id) }
-
-// UpsertTagged implements TaggedMutator.
-func (b *CollectionBackend) UpsertTagged(v []float32, id int64, tags map[string]string) error {
-	return b.Col.UpsertTagged(v, id, tags)
-}
-
-// UpsertText implements TextMutator; the collection enforces its
-// lexical gate and dim check.
-func (b *CollectionBackend) UpsertText(v []float32, id int64, text string) error {
-	return b.Col.UpsertText(v, id, text)
+// Upsert implements Mutator; the collection enforces its lexical gate
+// and dim check.
+func (b *CollectionBackend) Upsert(v []float32, id int64, a store.Attrs) error {
+	return b.Col.Upsert(v, id, a)
 }
 
 // SearchHybrid implements HybridBackend.
@@ -105,8 +116,7 @@ func (s *Server) newTenant(name string, backend Backend, col *collection.Collect
 	// computed against.
 	if tn, ok := backend.(TopologyNotifier); ok {
 		tn.OnTopologyChange(func() {
-			t.cache.purge()
-			t.hybrid.purge()
+			t.purge()
 			s.stats.TopologyPurges.Add(1)
 		})
 	}

@@ -43,13 +43,11 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -229,26 +227,8 @@ func writeManifest(fs fsx.FS, dir string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return fs.SyncDir(dir)
+	_, _, err = fsx.WriteFileAtomic(fs, filepath.Join(dir, manifestName), append(b, '\n'))
+	return err
 }
 
 // readManifest loads and checksum-verifies the manifest. A corrupt
@@ -350,19 +330,45 @@ func sweepTemps(fs fsx.FS, dir string, logf func(string, ...any)) (int, error) {
 	return len(stale), nil
 }
 
+// readVerified reads one checkpoint file (what names it in errors) and
+// checks it against the CRC32-C its generation recorded; 0 is a legacy
+// generation that cannot be verified. A mismatch is a *CorruptError.
+func readVerified(fs fsx.FS, dir, name, what string, want uint32) ([]byte, error) {
+	path := filepath.Join(dir, name)
+	b, err := fs.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading %s %s: %w", what, name, err)
+	}
+	if want != 0 {
+		if got := crc32.Checksum(b, crcTable); got != want {
+			return nil, &CorruptError{Path: path, Reason: what + " CRC mismatch", WantCRC: want, GotCRC: got}
+		}
+	}
+	return b, nil
+}
+
+// readSidecar loads one verified JSON sidecar into v.
+func readSidecar(fs fsx.FS, dir, name, what string, want uint32, v any) error {
+	b, err := readVerified(fs, dir, name, what, want)
+	if err != nil {
+		return err
+	}
+	if jerr := json.Unmarshal(b, v); jerr != nil {
+		return &CorruptError{Path: filepath.Join(dir, name), Reason: what + " is not JSON: " + jerr.Error()}
+	}
+	return nil
+}
+
 // loadGeneration reads, checksum-verifies, and decodes one snapshot
 // generation. A checksum mismatch or undecodable image is a
 // *CorruptError (wrapped), telling Open to quarantine and fall back.
+// The sidecars are part of the generation's verification: a lost or
+// corrupt one fails the generation rather than silently dropping every
+// filter or serving hybrid queries over an emptied index.
 func loadGeneration(fs fsx.FS, dir string, g generation, lex *lexical.Config) (*core.Engine, error) {
-	path := filepath.Join(dir, g.Snapshot)
-	b, err := fs.ReadFile(path)
+	b, err := readVerified(fs, dir, g.Snapshot, "snapshot", g.CRC)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading snapshot %s: %w", g.Snapshot, err)
-	}
-	if g.CRC != 0 {
-		if got := crc32.Checksum(b, crcTable); got != g.CRC {
-			return nil, &CorruptError{Path: path, Reason: "snapshot CRC mismatch", WantCRC: g.CRC, GotCRC: got}
-		}
+		return nil, err
 	}
 	e, err := core.LoadEngine(bytes.NewReader(b))
 	if err != nil {
@@ -379,43 +385,17 @@ func loadGeneration(fs fsx.FS, dir string, g generation, lex *lexical.Config) (*
 	// counter as of the watermark ride in the manifest (their WAL
 	// records were truncated by the checkpoint that wrote them).
 	e.RestoreDynamic(g.Tombstones, g.Inserted)
-	// Per-vector tags ride in a checksummed sidecar; loading it is part
-	// of the generation's verification, so a lost or corrupt sidecar
-	// fails the generation rather than silently dropping every filter.
 	if g.Tags != "" {
-		tpath := filepath.Join(dir, g.Tags)
-		tb, err := fs.ReadFile(tpath)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading tags sidecar %s: %w", g.Tags, err)
-		}
-		if g.TagsCRC != 0 {
-			if got := crc32.Checksum(tb, crcTable); got != g.TagsCRC {
-				return nil, &CorruptError{Path: tpath, Reason: "tags sidecar CRC mismatch", WantCRC: g.TagsCRC, GotCRC: got}
-			}
-		}
 		var tf tagsFile
-		if jerr := json.Unmarshal(tb, &tf); jerr != nil {
-			return nil, &CorruptError{Path: tpath, Reason: "tags sidecar is not JSON: " + jerr.Error()}
+		if err := readSidecar(fs, dir, g.Tags, "tags sidecar", g.TagsCRC, &tf); err != nil {
+			return nil, err
 		}
 		e.RestoreTags(tf.Tags)
 	}
-	// Lexical documents likewise: a lost or corrupt sidecar fails the
-	// generation rather than serving hybrid queries over a silently
-	// emptied index.
 	if g.Text != "" {
-		xpath := filepath.Join(dir, g.Text)
-		xb, err := fs.ReadFile(xpath)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading text sidecar %s: %w", g.Text, err)
-		}
-		if g.TextCRC != 0 {
-			if got := crc32.Checksum(xb, crcTable); got != g.TextCRC {
-				return nil, &CorruptError{Path: xpath, Reason: "text sidecar CRC mismatch", WantCRC: g.TextCRC, GotCRC: got}
-			}
-		}
 		var xf textsFile
-		if jerr := json.Unmarshal(xb, &xf); jerr != nil {
-			return nil, &CorruptError{Path: xpath, Reason: "text sidecar is not JSON: " + jerr.Error()}
+		if err := readSidecar(fs, dir, g.Text, "text sidecar", g.TextCRC, &xf); err != nil {
+			return nil, err
 		}
 		e.RestoreTexts(xf.Docs)
 	}
@@ -521,16 +501,10 @@ func Open(dir string, opts Options) (*Durable, error) {
 		}
 		genErrs = append(genErrs, lerr)
 		opts.Logf("store: snapshot generation %s unusable (%v); quarantining and falling back", g.Snapshot, lerr)
-		bad := []string{filepath.Join(dir, g.Snapshot)}
-		if g.Tags != "" {
-			bad = append(bad, filepath.Join(dir, g.Tags))
-		}
-		if g.Text != "" {
-			bad = append(bad, filepath.Join(dir, g.Text))
-		}
-		for _, b := range bad {
+		for _, name := range g.files() {
+			b := filepath.Join(dir, name)
 			if qerr := fs.Rename(b, b+corruptSuffix); qerr != nil && !os.IsNotExist(qerr) {
-				opts.Logf("store: quarantine of %s failed: %v", filepath.Base(b), qerr)
+				opts.Logf("store: quarantine of %s failed: %v", name, qerr)
 			}
 		}
 	}
@@ -561,25 +535,11 @@ func Open(dir string, opts Options) (*Durable, error) {
 		if r.Seq != d.seq+1 {
 			return fmt.Errorf("store: WAL sequence gap: have %d, next record is %d", d.seq, r.Seq)
 		}
-		switch r.Type {
-		case RecordUpsert:
-			if err := e.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
-				return fmt.Errorf("store: replaying seq %d: %w", r.Seq, err)
-			}
-		case RecordUpsertTagged:
-			if err := e.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
-				return fmt.Errorf("store: replaying seq %d: %w", r.Seq, err)
-			}
-			e.SetTags(r.ID, r.Tags)
-		case RecordUpsertText:
-			if err := e.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
-				return fmt.Errorf("store: replaying seq %d: %w", r.Seq, err)
-			}
-			e.SetText(r.ID, r.Text, r.Vec)
-		case RecordDelete:
+		// decodePayload delivers upserts and deletes only.
+		if !r.Type.IsUpsert() {
 			e.Delete(r.ID)
-		default:
-			return fmt.Errorf("store: replaying seq %d: unknown type %d", r.Seq, r.Type)
+		} else if err := d.apply(r); err != nil {
+			return fmt.Errorf("store: replaying seq %d: %w", r.Seq, err)
 		}
 		d.seq = r.Seq
 		replayed++
@@ -628,89 +588,82 @@ func (d *Durable) Dir() string { return d.dir }
 // circuit breaker keys off this.
 func (d *Durable) Failed() error { return d.wal.failure() }
 
-// Upsert durably inserts a vector: the mutation is logged (with its
-// routed partition and drawn HNSW level) before it is applied. After a
-// storage failure every call returns ErrWALFailed.
-func (d *Durable) Upsert(v []float32, id int64) error {
-	return d.upsert(v, id, nil, false)
+// Attrs are the optional attributes an upsert carries beside its
+// vector. The zero value is a plain upsert, which leaves whatever tags
+// and document the ID already has untouched.
+type Attrs struct {
+	// Tags, when non-nil, replace the ID's metadata tags; an empty map
+	// clears them (matching Engine.SetTags).
+	Tags map[string]string
+	// Text, when non-nil, is tokenized into the lexical index as the
+	// ID's document, replacing any earlier one.
+	Text *string
 }
 
-// UpsertTagged durably inserts a vector together with its metadata
-// tags, in one WAL record: replay restores both or neither. A nil or
-// empty tags map clears any tags id carried (matching Engine.SetTags).
-func (d *Durable) UpsertTagged(v []float32, id int64, tags map[string]string) error {
-	return d.upsert(v, id, tags, true)
+// record is the upsert a describes, of the kind that carries exactly
+// its attributes; sequence, partition and level are the log's to fill.
+func (a Attrs) record(v []float32, id int64) Record {
+	r := Record{Type: upsertKind(a.Tags != nil, a.Text != nil), ID: id, Vec: v, Tags: a.Tags}
+	if a.Text != nil {
+		r.Text = *a.Text
+	}
+	return r
 }
 
-// UpsertText durably inserts a vector together with the document text
-// the lexical index tokenizes, in one WAL record: replay restores both
-// or neither, so the BM25 index can never reference a vector the graph
-// lost (or vice versa).
-func (d *Durable) UpsertText(v []float32, id int64, text string) error {
-	if len(text) > MaxTextBytes {
-		return fmt.Errorf("store: document text %d bytes exceeds limit %d", len(text), MaxTextBytes)
+// Upsert is UpsertWith without attributes.
+func (d *Durable) Upsert(v []float32, id int64) error { return d.UpsertWith(v, id, Attrs{}) }
+
+// UpsertWith durably inserts a vector together with its attributes in
+// one WAL record, logged (with the routed partition and the drawn HNSW
+// level) before it is applied: replay restores the vector, its tags and
+// its text together or not at all, so neither the tag store nor the
+// BM25 index can reference a vector the graph lost. Attributes the log
+// could not read back are refused with ErrInvalidUpsert before anything
+// is written; after a storage failure every call returns ErrWALFailed.
+func (d *Durable) UpsertWith(v []float32, id int64, a Attrs) error {
+	rec := a.record(v, id)
+	if err := rec.validate(); err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return errClosed
 	}
-	home, err := d.eng.Home(v)
-	if err != nil {
+	var err error
+	if rec.Part, err = d.eng.Home(v); err != nil {
 		return err
 	}
-	level, err := d.eng.DrawLevel(home)
-	if err != nil {
+	if rec.Level, err = d.eng.DrawLevel(rec.Part); err != nil {
 		return err
 	}
-	rec := Record{Seq: d.seq + 1, Type: RecordUpsertText, Part: home, Level: level, ID: id, Vec: v, Text: text}
+	rec.Seq = d.seq + 1
 	if err := d.wal.append(rec); err != nil {
 		return err
 	}
 	d.seq++
-	if err := d.eng.AddAt(home, v, id, level); err != nil {
+	if err := d.apply(rec); err != nil {
 		return err
 	}
-	d.eng.SetText(id, text, v)
 	d.stats.Upserts.Add(1)
-	if d.compacting == home {
-		d.sidelog = append(d.sidelog, sideRec{v: append([]float32(nil), v...), id: id, level: level})
-	}
 	return nil
 }
 
-func (d *Durable) upsert(v []float32, id int64, tags map[string]string, tagged bool) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errClosed
-	}
-	home, err := d.eng.Home(v)
-	if err != nil {
+// apply is what an upsert record does to the engine, live and on
+// replay: insert at the logged partition and level, then set the
+// attributes its kind carries. Caller holds mu (or is Open).
+func (d *Durable) apply(r Record) error {
+	if err := d.eng.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
 		return err
 	}
-	level, err := d.eng.DrawLevel(home)
-	if err != nil {
-		return err
+	if r.Type.HasTags() {
+		d.eng.SetTags(r.ID, r.Tags)
 	}
-	rec := Record{Seq: d.seq + 1, Type: RecordUpsert, Part: home, Level: level, ID: id, Vec: v}
-	if tagged {
-		rec.Type = RecordUpsertTagged
-		rec.Tags = tags
+	if r.Type.HasText() {
+		d.eng.SetText(r.ID, r.Text, r.Vec)
 	}
-	if err := d.wal.append(rec); err != nil {
-		return err
-	}
-	d.seq++
-	if err := d.eng.AddAt(home, v, id, level); err != nil {
-		return err
-	}
-	if tagged {
-		d.eng.SetTags(id, tags)
-	}
-	d.stats.Upserts.Add(1)
-	if d.compacting == home {
-		d.sidelog = append(d.sidelog, sideRec{v: append([]float32(nil), v...), id: id, level: level})
+	if d.compacting == r.Part {
+		d.sidelog = append(d.sidelog, sideRec{v: append([]float32(nil), r.Vec...), id: r.ID, level: r.Level})
 	}
 	return nil
 }
@@ -748,188 +701,89 @@ func (d *Durable) Checkpoint() error {
 	return d.checkpointLocked()
 }
 
-// crcCountWriter accumulates the CRC32-C and size of everything written
-// through it, so a snapshot's checksum is computed as it streams out.
-type crcCountWriter struct {
-	w   io.Writer
-	crc uint32
-	n   int64
+// files lists the checkpoint files g references.
+func (g generation) files() []string {
+	names := []string{g.Snapshot}
+	if g.Tags != "" {
+		names = append(names, g.Tags)
+	}
+	if g.Text != "" {
+		names = append(names, g.Text)
+	}
+	return names
 }
 
-func (cw *crcCountWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
-	cw.n += int64(n)
-	return n, err
+// writeSidecar publishes v as the JSON sidecar name.
+func (d *Durable) writeSidecar(name string, v any) (crc uint32, size int64, err error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return 0, 0, err
+	}
+	return fsx.WriteFileAtomic(d.opts.FS, filepath.Join(d.dir, name), b)
 }
 
-// checkpointLocked writes snap-<seq>.ann atomically, repoints the
-// manifest at it (keeping the previous generation as the corruption
-// fallback), and deletes snapshots and WAL segments no retained
-// generation needs.
+// checkpointLocked writes snap-<seq>.ann and the sidecars of the same
+// watermark (each through fsx.WriteAtomic), repoints the manifest at
+// them (keeping the previous generation as the corruption fallback),
+// and deletes checkpoint files and WAL segments no retained generation
+// needs.
 func (d *Durable) checkpointLocked() error {
 	fs := d.opts.FS
-	seq := d.seq
-	name := snapshotName(seq)
-	tmp := filepath.Join(d.dir, name+".tmp")
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	g := generation{Snapshot: snapshotName(d.seq), Watermark: d.seq}
+	var err error
+	g.CRC, g.Bytes, err = fsx.WriteAtomic(fs, filepath.Join(d.dir, g.Snapshot), d.eng.Save)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &crcCountWriter{w: bw}
-	if err := d.eng.Save(cw); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
-		return err
-	}
-	if err := fs.SyncDir(d.dir); err != nil {
-		return err
-	}
-	// Tags sidecar: the tag store as of the same watermark, written with
-	// the same atomic tmp+rename discipline, referenced (with CRC) from
-	// the generation. Skipped entirely when no vector carries tags.
-	var tagsRef generation
+	// Tags sidecar: the tag store as of the same watermark, referenced
+	// (with CRC) from the generation. Skipped when no vector carries tags.
 	if snap := d.eng.TagsSnapshot(); len(snap) > 0 {
-		tb, err := json.Marshal(tagsFile{Tags: snap})
-		if err != nil {
+		g.Tags = tagsName(d.seq)
+		if g.TagsCRC, g.TagsBytes, err = d.writeSidecar(g.Tags, tagsFile{Tags: snap}); err != nil {
 			return err
 		}
-		tname := tagsName(seq)
-		ttmp := filepath.Join(d.dir, tname+".tmp")
-		tf, err := fs.OpenFile(ttmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := tf.Write(tb); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Sync(); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		if err := fs.Rename(ttmp, filepath.Join(d.dir, tname)); err != nil {
-			return err
-		}
-		if err := fs.SyncDir(d.dir); err != nil {
-			return err
-		}
-		tagsRef = generation{Tags: tname, TagsCRC: crc32.Checksum(tb, crcTable), TagsBytes: int64(len(tb))}
 	}
-	// Lexical-document sidecar: raw text + vector copy per document,
-	// same atomic discipline. The inverted index itself is not
-	// serialized — loading re-tokenizes, which the deterministic
-	// tokenizer guarantees rebuilds it exactly.
-	var textRef generation
+	// Lexical-document sidecar: raw text + vector copy per document. The
+	// inverted index itself is not serialized — loading re-tokenizes,
+	// which the deterministic tokenizer guarantees rebuilds it exactly.
 	if snap := d.eng.TextsSnapshot(); len(snap) > 0 {
-		xb, err := json.Marshal(textsFile{Docs: snap})
-		if err != nil {
+		g.Text = textsName(d.seq)
+		if g.TextCRC, g.TextBytes, err = d.writeSidecar(g.Text, textsFile{Docs: snap}); err != nil {
 			return err
 		}
-		xname := textsName(seq)
-		xtmp := filepath.Join(d.dir, xname+".tmp")
-		xf, err := fs.OpenFile(xtmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		if _, err := xf.Write(xb); err != nil {
-			xf.Close()
-			return err
-		}
-		if err := xf.Sync(); err != nil {
-			xf.Close()
-			return err
-		}
-		if err := xf.Close(); err != nil {
-			return err
-		}
-		if err := fs.Rename(xtmp, filepath.Join(d.dir, xname)); err != nil {
-			return err
-		}
-		if err := fs.SyncDir(d.dir); err != nil {
-			return err
-		}
-		textRef = generation{Text: xname, TextCRC: crc32.Checksum(xb, crcTable), TextBytes: int64(len(xb))}
 	}
-	tombs := d.eng.TombstoneIDs()
-	sort.Slice(tombs, func(i, j int) bool { return tombs[i] < tombs[j] })
-	gens := append([]generation{{
-		Snapshot:   name,
-		Watermark:  seq,
-		CRC:        cw.crc,
-		Bytes:      cw.n,
-		Tombstones: tombs,
-		Inserted:   d.eng.Inserted(),
-		Tags:       tagsRef.Tags,
-		TagsCRC:    tagsRef.TagsCRC,
-		TagsBytes:  tagsRef.TagsBytes,
-		Text:       textRef.Text,
-		TextCRC:    textRef.TextCRC,
-		TextBytes:  textRef.TextBytes,
-	}}, d.gens...)
+	g.Tombstones = d.eng.TombstoneIDs()
+	sort.Slice(g.Tombstones, func(i, j int) bool { return g.Tombstones[i] < g.Tombstones[j] })
+	g.Inserted = d.eng.Inserted()
+	gens := append([]generation{g}, d.gens...)
 	if len(gens) > maxGenerations {
 		gens = gens[:maxGenerations]
 	}
 	// Degenerate double-checkpoint at the same watermark: the new image
 	// replaced the old file of the same name, so retaining both entries
 	// would point twice at one file.
-	if len(gens) == 2 && gens[1].Snapshot == name {
+	if len(gens) == 2 && gens[1].Snapshot == g.Snapshot {
 		gens = gens[:1]
 	}
 	if err := writeManifest(fs, d.dir, manifest{Generations: gens}); err != nil {
 		return err
 	}
 	d.gens = gens
-	// The manifest now points at the new snapshot; snapshots outside the
-	// retained generations and WAL segments below the oldest retained
-	// watermark are garbage. (Quarantined *.corrupt files are kept for
-	// the operator.)
+	// The manifest now points at the new snapshot; checkpoint files
+	// outside the retained generations and WAL segments below the oldest
+	// retained watermark are garbage. (Quarantined *.corrupt files are
+	// kept for the operator.)
 	keep := make(map[string]bool, 3*len(gens))
 	for _, g := range gens {
-		keep[g.Snapshot] = true
-		if g.Tags != "" {
-			keep[g.Tags] = true
-		}
-		if g.Text != "" {
-			keep[g.Text] = true
+		for _, name := range g.files() {
+			keep[name] = true
 		}
 	}
-	if snaps, err := fsx.Glob(fs, filepath.Join(d.dir, "snap-*.ann")); err == nil {
-		for _, s := range snaps {
-			if !keep[filepath.Base(s)] {
-				fs.Remove(s)
-			}
-		}
-	}
-	if sidecars, err := fsx.Glob(fs, filepath.Join(d.dir, "tags-*.json")); err == nil {
-		for _, s := range sidecars {
-			if !keep[filepath.Base(s)] {
-				fs.Remove(s)
-			}
-		}
-	}
-	if sidecars, err := fsx.Glob(fs, filepath.Join(d.dir, "text-*.json")); err == nil {
-		for _, s := range sidecars {
-			if !keep[filepath.Base(s)] {
-				fs.Remove(s)
+	for _, pattern := range []string{"snap-*.ann", "tags-*.json", "text-*.json"} {
+		old, _ := fsx.Glob(fs, filepath.Join(d.dir, pattern))
+		for _, p := range old {
+			if !keep[filepath.Base(p)] {
+				fs.Remove(p)
 			}
 		}
 	}
@@ -939,7 +793,7 @@ func (d *Durable) checkpointLocked() error {
 		}
 	}
 	d.stats.Snapshots.Add(1)
-	d.opts.Logf("store: checkpoint %s (watermark %d, crc32c %08x, %d retained generations)", name, seq, cw.crc, len(gens))
+	d.opts.Logf("store: checkpoint %s (watermark %d, crc32c %08x, %d retained generations)", g.Snapshot, g.Watermark, g.CRC, len(gens))
 	return nil
 }
 

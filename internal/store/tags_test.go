@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,7 +26,7 @@ func TestTagsCrashRecoveryWAL(t *testing.T) {
 	for i := 0; i < nTagged; i++ {
 		id := int64(200000 + i)
 		tags := map[string]string{"tenant": fmt.Sprintf("t%d", i%3), "idx": fmt.Sprintf("%d", i)}
-		if err := d.UpsertTagged(randVec(rng, 8), id, tags); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), id, Attrs{Tags: tags}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +36,7 @@ func TestTagsCrashRecoveryWAL(t *testing.T) {
 		}
 	}
 	// A tagged upsert with nil tags must clear on replay too.
-	if err := d.UpsertTagged(randVec(rng, 8), 200000, nil); err != nil {
+	if err := d.UpsertWith(randVec(rng, 8), 200000, Attrs{Tags: map[string]string{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil { // crash: no checkpoint, WAL only
@@ -74,7 +76,7 @@ func TestTagsCrashRecoverySnapshot(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 40; i++ {
-		if err := d.UpsertTagged(randVec(rng, 8), int64(400000+i), map[string]string{"gen": "pre"}); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(400000+i), Attrs{Tags: map[string]string{"gen": "pre"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,11 +96,11 @@ func TestTagsCrashRecoverySnapshot(t *testing.T) {
 	// Tail after the checkpoint: new tagged ids plus a rewrite of an old
 	// one — replay must override the sidecar's value.
 	for i := 0; i < 10; i++ {
-		if err := d.UpsertTagged(randVec(rng, 8), int64(500000+i), map[string]string{"gen": "post"}); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(500000+i), Attrs{Tags: map[string]string{"gen": "post"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.UpsertTagged(randVec(rng, 8), 400000, map[string]string{"gen": "rewritten"}); err != nil {
+	if err := d.UpsertWith(randVec(rng, 8), 400000, Attrs{Tags: map[string]string{"gen": "rewritten"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -138,7 +140,7 @@ func TestTagsSidecarCorruptionFallsBack(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 25; i++ {
-		if err := d.UpsertTagged(randVec(rng, 8), int64(600000+i), map[string]string{"k": "v"}); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(600000+i), Attrs{Tags: map[string]string{"k": "v"}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,6 +189,95 @@ func TestTagsSidecarCorruptionFallsBack(t *testing.T) {
 			names = append(names, f.Name())
 		}
 		t.Fatalf("no quarantined sidecar; dir: %s", strings.Join(names, ", "))
+	}
+}
+
+// TestUpsertRefusesWhatReplayRejects: the writer accepts only what the
+// reader accepts. The parent acknowledged an empty tag key and a 64 KiB+
+// tag value, framed them under a valid CRC, and then could not reopen
+// the store ("mid-log corruption, refusing to repair"). Each bad upsert
+// must be refused with the typed error before anything is logged, and
+// the store must reopen clean with the writes around it intact.
+func TestUpsertRefusesWhatReplayRejects(t *testing.T) {
+	tooMany := make(map[string]string, maxTagsPerRecord+1)
+	for i := 0; i <= maxTagsPerRecord; i++ {
+		tooMany[fmt.Sprintf("k%d", i)] = "v"
+	}
+	// 1,200 tags sharing one 60 KB value: each pair is legal, the frame
+	// (≈72 MB) is past what the scanner will read back.
+	tooBig, val := make(map[string]string, 1200), strings.Repeat("v", 60000)
+	for i := 0; i < 1200; i++ {
+		tooBig[fmt.Sprintf("k%d", i)] = val
+	}
+	bad := map[string]Attrs{
+		"frame too big":      {Tags: tooBig},
+		"empty tag key":      {Tags: map[string]string{"": "x"}},
+		"long tag value":     {Tags: map[string]string{"k": strings.Repeat("v", 70000)}},
+		"long tag key":       {Tags: map[string]string{strings.Repeat("k", 1<<16): "v"}},
+		"too many tags":      {Tags: tooMany},
+		"long text":          withText(strings.Repeat("x", MaxTextBytes+1)),
+		"bad tag, good text": {Tags: map[string]string{"": "x"}, Text: withText("fine").Text},
+	}
+	for name, a := range bad {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, _ := smallEngine(t, 300, 3)
+			opts := Options{SyncEvery: 1, CompactRatio: -1}
+			d, err := Create(dir, e, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Upsert(fixedVec(1, 8), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.UpsertWith(fixedVec(2, 8), 2, a); !errors.Is(err, ErrInvalidUpsert) {
+				t.Fatalf("bad upsert = %v, want ErrInvalidUpsert", err)
+			}
+			if st := d.Stats(); st.LastSeq != 1 || st.Upserts != 1 {
+				t.Fatalf("refused upsert moved the log: LastSeq %d, Upserts %d", st.LastSeq, st.Upserts)
+			}
+			if d.Engine().Tags(2) != nil || d.Engine().TextCount() != 0 {
+				t.Fatal("refused upsert left attributes in the engine")
+			}
+			if err := d.Upsert(fixedVec(3, 8), 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen after a refused upsert: %v", err)
+			}
+			defer d2.Close()
+			if st := d2.Stats(); st.Replayed != 2 || st.LastSeq != 2 {
+				t.Fatalf("replayed %d records to seq %d, want 2 to 2", st.Replayed, st.LastSeq)
+			}
+		})
+	}
+	// The limits themselves are inclusive: the largest key, value and
+	// text the codec can frame are accepted and survive replay.
+	dir := t.TempDir()
+	e, _ := smallEngine(t, 300, 3)
+	d, err := Create(dir, e, Options{SyncEvery: 1, CompactRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := Attrs{
+		Tags: map[string]string{strings.Repeat("k", maxTagBytes): strings.Repeat("v", maxTagBytes)},
+		Text: withText(strings.Repeat("x ", MaxTextBytes/2)).Text,
+	}
+	if err := d.UpsertWith(fixedVec(1, 8), 1, edge); err != nil {
+		t.Fatalf("upsert at the limits: %v", err)
+	}
+	d.Close()
+	d2, err := Open(dir, Options{SyncEvery: 1, CompactRatio: -1})
+	if err != nil {
+		t.Fatalf("reopen after an upsert at the limits: %v", err)
+	}
+	defer d2.Close()
+	if got, _ := d2.Engine().Text(1); !reflect.DeepEqual(d2.Engine().Tags(1), edge.Tags) || got != *edge.Text {
+		t.Fatal("attributes at the limits did not survive replay")
 	}
 }
 

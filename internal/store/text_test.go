@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/fsx"
 	"repro/internal/lexical"
 )
@@ -28,6 +29,9 @@ func fixedText(i int) string {
 	return fmt.Sprintf("shared alpha beta%d group%d unique%d", i%3, i%4, i)
 }
 
+// withText is the attribute set of an upsert carrying document text.
+func withText(s string) Attrs { return Attrs{Text: &s} }
+
 // hybridQueries is the fixed query set every equality check uses.
 func hybridQueries() ([][]float32, []string) {
 	qs := make([][]float32, 4)
@@ -38,21 +42,60 @@ func hybridQueries() ([][]float32, []string) {
 	return qs, texts
 }
 
-// hybridResults runs the fixed hybrid queries in both fusion modes.
+// hybridResults runs the fixed hybrid queries in both fusion modes, each
+// unfiltered and under the filter only taggedDoc matches.
 func hybridResults(t testing.TB, e *core.Engine) [][]core.HybridResult {
 	t.Helper()
+	onlyTagged, err := filter.Parse("lang=en")
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs, texts := hybridQueries()
 	var out [][]core.HybridResult
 	for i := range qs {
 		for _, mode := range []string{core.FusionRRF, core.FusionWeighted} {
-			rs, err := e.SearchHybrid(qs[i], texts[i], 5, core.HybridOptions{Fusion: mode})
-			if err != nil {
-				t.Fatal(err)
+			for _, f := range []*filter.Expr{nil, onlyTagged} {
+				rs, err := e.SearchHybrid(qs[i], texts[i], 5, core.HybridOptions{Fusion: mode, Filter: f})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, rs)
 			}
-			out = append(out, rs)
 		}
 	}
 	return out
+}
+
+// taggedDoc is the one point of the text workloads that carries tags AND
+// text — a kind the log could not hold before — so a filtered hybrid
+// query has something to find.
+const taggedDocID = 700050
+
+func upsertTaggedDoc(d *Durable) error {
+	a := withText("shared alpha tagged50")
+	a.Tags = map[string]string{"lang": "en"}
+	return d.UpsertWith(fixedVec(50, 8), taggedDocID, a)
+}
+
+// checkTaggedDoc: recovery restores both attributes of taggedDoc or
+// neither, and with both the filtered hybrid query finds it.
+func checkTaggedDoc(t testing.TB, e *core.Engine, mustExist bool) {
+	t.Helper()
+	tags := e.Tags(taggedDocID)
+	_, hasText := e.Text(taggedDocID)
+	if (tags != nil) != hasText {
+		t.Fatalf("tagged doc recovered half: tags %v, text present %v", tags, hasText)
+	}
+	if mustExist && !hasText {
+		t.Fatal("tagged doc lost: neither tags nor text recovered")
+	}
+	if hasText {
+		f, _ := filter.Parse("lang=en")
+		rs, err := e.SearchHybrid(fixedVec(50, 8), "tagged50", 5, core.HybridOptions{Filter: f})
+		if err != nil || len(rs) != 1 || rs[0].ID != taggedDocID {
+			t.Fatalf("filtered hybrid query = %v (%v), want exactly the tagged doc", rs, err)
+		}
+	}
 }
 
 // postingsDump returns the canonical live-postings dump.
@@ -108,7 +151,7 @@ func TestUpsertTextRejectsOversize(t *testing.T) {
 	}
 	defer d.Close()
 	huge := strings.Repeat("x", MaxTextBytes+1)
-	if err := d.UpsertText(fixedVec(1, 8), 1, huge); err == nil {
+	if err := d.UpsertWith(fixedVec(1, 8), 1, withText(huge)); err == nil {
 		t.Fatal("oversized text accepted")
 	}
 }
@@ -125,13 +168,13 @@ func TestTextCrashRecoveryWAL(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 40; i++ {
-		if err := d.UpsertText(randVec(rng, 8), int64(700000+i), fixedText(i)); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrites leave stale postings in the live index; the rebuilt
 	// index has none — the canonical dump must agree anyway.
-	if err := d.UpsertText(randVec(rng, 8), 700000, "rewritten gamma"); err != nil {
+	if err := d.UpsertWith(randVec(rng, 8), 700000, withText("rewritten gamma")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Delete(700001); err != nil {
@@ -177,22 +220,27 @@ func TestTextCrashRecoverySnapshot(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 30; i++ {
-		if err := d.UpsertText(randVec(rng, 8), int64(700000+i), fixedText(i)); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := upsertTaggedDoc(d); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if sidecars, _ := filepath.Glob(filepath.Join(dir, "text-*.json")); len(sidecars) == 0 {
-		t.Fatal("checkpoint wrote no text sidecar")
+	for _, pattern := range []string{"text-*.json", "tags-*.json"} {
+		if sidecars, _ := filepath.Glob(filepath.Join(dir, pattern)); len(sidecars) == 0 {
+			t.Fatalf("checkpoint wrote no %s sidecar", pattern)
+		}
 	}
 	for i := 30; i < 38; i++ {
-		if err := d.UpsertText(randVec(rng, 8), int64(700000+i), fixedText(i)); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.UpsertText(randVec(rng, 8), 700003, "rewritten after checkpoint"); err != nil {
+	if err := d.UpsertWith(randVec(rng, 8), 700003, withText("rewritten after checkpoint")); err != nil {
 		t.Fatal(err)
 	}
 	wantHy := hybridResults(t, d.Engine())
@@ -210,9 +258,10 @@ func TestTextCrashRecoverySnapshot(t *testing.T) {
 	if got, _ := e2.Text(700003); got != "rewritten after checkpoint" {
 		t.Fatalf("tail rewrite lost: %q", got)
 	}
-	if got := e2.TextCount(); got != 38 {
-		t.Fatalf("TextCount = %d, want 38", got)
+	if got := e2.TextCount(); got != 39 {
+		t.Fatalf("TextCount = %d, want 39", got)
 	}
+	checkTaggedDoc(t, e2, true)
 	if got := hybridResults(t, e2); !reflect.DeepEqual(got, wantHy) {
 		t.Fatal("hybrid rankings diverge after sidecar + tail recovery")
 	}
@@ -234,7 +283,7 @@ func TestTextSidecarCorruptionFallsBack(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 25; i++ {
-		if err := d.UpsertText(randVec(rng, 8), int64(700000+i), fixedText(i)); err != nil {
+		if err := d.UpsertWith(randVec(rng, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -283,8 +332,9 @@ func TestTextSidecarCorruptionFallsBack(t *testing.T) {
 // --- Text crash-point sweep ----------------------------------------------
 //
 // textChaosRun is the lexical twin of chaosRun: a fixed text workload
-// (upserts with text, a delete, a checkpoint that writes the text
-// sidecar, more upserts including an overwrite) against a filesystem
+// (upserts with text, a delete, one upsert with tags and text, a
+// checkpoint that writes both sidecars, more upserts including an
+// overwrite) against a filesystem
 // that dies at a scripted operation. Recovery with a clean FS must
 // restore identical BM25 state: same fused hybrid top-k in the same
 // order with the same scores, and a byte-identical canonical postings
@@ -301,7 +351,7 @@ func textChaosRun(t *testing.T, base []byte, rule *fsx.Rule) chaosOutcome {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := d0.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)); err != nil {
+		if err := d0.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -338,16 +388,17 @@ func textChaosRun(t *testing.T, base []byte, rule *fsx.Rule) chaosOutcome {
 		}
 		for i := 3; i < 7; i++ {
 			i := i
-			mut(func() error { return d.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)) })
+			mut(func() error { return d.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))) })
 		}
 		mut(func() error { return d.Delete(700001) })
-		step(d.Checkpoint) // writes the text sidecar
+		mut(func() error { return upsertTaggedDoc(d) })
+		step(d.Checkpoint) // writes the text sidecar, and the tags one
 		for i := 7; i < 9; i++ {
 			i := i
-			mut(func() error { return d.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)) })
+			mut(func() error { return d.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))) })
 		}
 		// Overwrite: stale postings live-side, none after rebuild.
-		mut(func() error { return d.UpsertText(fixedVec(42, 8), 700002, "rewritten delta") })
+		mut(func() error { return d.UpsertWith(fixedVec(42, 8), 700002, withText("rewritten delta")) })
 		d.Close()
 	}
 
@@ -379,19 +430,7 @@ func textChaosRun(t *testing.T, base []byte, rule *fsx.Rule) chaosOutcome {
 		// Fold the in-flight record into the oracle; then the match must
 		// be exact.
 		for _, r := range extras {
-			switch r.Type {
-			case RecordUpsertText:
-				if err := preEng.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
-					t.Fatalf("applying in-flight record to oracle: %v", err)
-				}
-				preEng.SetText(r.ID, r.Text, r.Vec)
-			case RecordUpsert:
-				if err := preEng.AddAt(r.Part, r.Vec, r.ID, r.Level); err != nil {
-					t.Fatalf("applying in-flight record to oracle: %v", err)
-				}
-			case RecordDelete:
-				preEng.Delete(r.ID)
-			}
+			applyDirect(t, preEng, r)
 		}
 		wantHy = hybridResults(t, preEng)
 		wantDump = postingsDump(t, preEng)
@@ -423,7 +462,7 @@ func TestTextCrashPointSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			if err := d0.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)); err != nil {
+			if err := d0.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -433,22 +472,25 @@ func TestTextCrashPointSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 3; i < 7; i++ {
-			if err := d.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)); err != nil {
+			if err := d.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if err := d.Delete(700001); err != nil {
 			t.Fatal(err)
 		}
+		if err := upsertTaggedDoc(d); err != nil {
+			t.Fatal(err)
+		}
 		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 7; i < 9; i++ {
-			if err := d.UpsertText(fixedVec(i, 8), int64(700000+i), fixedText(i)); err != nil {
+			if err := d.UpsertWith(fixedVec(i, 8), int64(700000+i), withText(fixedText(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := d.UpsertText(fixedVec(42, 8), 700002, "rewritten delta"); err != nil {
+		if err := d.UpsertWith(fixedVec(42, 8), 700002, withText("rewritten delta")); err != nil {
 			t.Fatal(err)
 		}
 		d.Close()
@@ -505,7 +547,7 @@ func TestTextSidecarParamsFromOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpsertText(fixedVec(1, 8), 1, "the quick fox"); err != nil {
+	if err := d.UpsertWith(fixedVec(1, 8), 1, withText("the quick fox")); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Engine().SearchLexical("the", 5, nil); got != nil {
@@ -514,7 +556,7 @@ func TestTextSidecarParamsFromOptions(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.UpsertText(fixedVec(2, 8), 2, "the lazy dog"); err != nil {
+	if err := d.UpsertWith(fixedVec(2, 8), 2, withText("the lazy dog")); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()

@@ -72,49 +72,93 @@ var ErrWALFailed = errors.New("store: WAL failed")
 // RecordType discriminates WAL records.
 type RecordType uint8
 
+// The record kinds. An upsert logs (partition, level, id, vector) and,
+// after the vector, the optional blocks its kind carries. The blocks
+// got their own type bytes — rather than fields appended to kind 1 — so
+// every kind keeps an exact-length check, logs written by older builds
+// replay unchanged, and a plain upsert pays zero overhead. Kinds 1, 3
+// and 4 predate kind 5; their frames are pinned byte-for-byte by
+// TestGoldenFrames.
 const (
-	// RecordUpsert logs one vector insert: (partition, level, id, vector).
-	RecordUpsert RecordType = 1
-	// RecordDelete logs one tombstone: (id).
-	RecordDelete RecordType = 2
-	// RecordUpsertTagged logs one vector insert carrying metadata tags:
-	// the RecordUpsert layout followed by a tag block. A separate type —
-	// rather than fields appended to RecordUpsert — keeps the type-1
-	// decoder's strict length check, so logs written by older builds
-	// replay unchanged and untagged upserts pay zero overhead.
-	RecordUpsertTagged RecordType = 3
-	// RecordUpsertText logs one vector insert carrying the raw document
-	// text the lexical index tokenizes: the RecordUpsert layout followed
-	// by u32 text length + text bytes. Replay re-tokenizes, so the BM25
-	// index needs no serialization of its own — the deterministic
-	// tokenizer rebuilds it exactly.
-	RecordUpsertText RecordType = 4
+	RecordUpsert           RecordType = 1 // vector only
+	RecordDelete           RecordType = 2 // one tombstone: (id)
+	RecordUpsertTagged     RecordType = 3 // vector + tag block
+	RecordUpsertText       RecordType = 4 // vector + text block
+	RecordUpsertTaggedText RecordType = 5 // vector + tag block + text block
 )
 
+// kind is one row of the kind table: the name tooling prints and, for
+// upserts, which optional blocks follow the vector.
+type kind struct {
+	name               string
+	upsert, tags, text bool
+}
+
+// kinds is the kind table. The codec, the apply body and annwal all
+// read it, so a new kind is one row here.
+var kinds = [...]kind{
+	RecordUpsert:           {"upsert", true, false, false},
+	RecordDelete:           {"delete", false, false, false},
+	RecordUpsertTagged:     {"upsert-tagged", true, true, false},
+	RecordUpsertText:       {"upsert-text", true, false, true},
+	RecordUpsertTaggedText: {"upsert-tagged-text", true, true, true},
+}
+
+// kind looks t up; an unknown type is the zero row.
+func (t RecordType) kind() kind {
+	if int(t) < len(kinds) {
+		return kinds[t]
+	}
+	return kind{}
+}
+
 func (t RecordType) String() string {
-	switch t {
-	case RecordUpsert:
-		return "upsert"
-	case RecordDelete:
-		return "delete"
-	case RecordUpsertTagged:
-		return "upsert-tagged"
-	case RecordUpsertText:
-		return "upsert-text"
+	if name := t.kind().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
+}
+
+// IsUpsert reports whether t inserts a vector.
+func (t RecordType) IsUpsert() bool { return t.kind().upsert }
+
+// HasTags reports whether records of kind t carry a tag block: replay
+// replaces the ID's tags with it (zero pairs clears them).
+func (t RecordType) HasTags() bool { return t.kind().tags }
+
+// HasText reports whether records of kind t carry a text block: replay
+// re-tokenizes it, so the BM25 index needs no serialization of its own.
+func (t RecordType) HasText() bool { return t.kind().text }
+
+// upsertKind picks the upsert kind carrying exactly the given blocks.
+func upsertKind(tags, text bool) RecordType {
+	for t, k := range kinds {
+		if k.upsert && k.tags == tags && k.text == text {
+			return RecordType(t)
+		}
+	}
+	panic("store: kind table lacks an upsert kind")
 }
 
 // Tag-block limits: a tag key or value is length-prefixed with u16, and
 // one record carries at most maxTagsPerRecord pairs. Bounded so a
 // corrupt count fails fast.
-const maxTagsPerRecord = 1 << 12
+const (
+	maxTagsPerRecord = 1 << 12
+	maxTagBytes      = 1<<16 - 1
+)
 
-// MaxTextBytes bounds the document text one upsert-text record may
-// carry (1 MiB — far beyond short-document BM25's useful range), so a
-// corrupt length field fails fast and the gateway can reject oversized
-// bodies with a typed error instead of logging them.
+// MaxTextBytes bounds the document text one upsert may carry (1 MiB —
+// far beyond short-document BM25's useful range), so a corrupt length
+// field fails fast and the gateway can reject oversized bodies with a
+// typed error instead of logging them.
 const MaxTextBytes = 1 << 20
+
+// ErrInvalidUpsert reports an upsert the log could not read back: an
+// empty or oversized tag key, an oversized tag value, too many tags, or
+// oversized text. Nothing was logged or applied. Check with errors.Is;
+// the gateway maps it to 400.
+var ErrInvalidUpsert = errors.New("store: invalid upsert")
 
 // Record is one logged mutation. Upserts carry the home partition and
 // the HNSW level the insert was assigned, so replay rebuilds a
@@ -126,8 +170,33 @@ type Record struct {
 	Level int // upsert: HNSW level
 	ID    int64
 	Vec   []float32         // upsert only
-	Tags  map[string]string // upsert-tagged only
-	Text  string            // upsert-text only
+	Tags  map[string]string // kinds with a tag block
+	Text  string            // kinds with a text block
+}
+
+// validate holds the writer to what decodePayload accepts, so a record
+// that was acknowledged can always be replayed.
+func (r Record) validate() error {
+	if r.Type.HasTags() {
+		if len(r.Tags) > maxTagsPerRecord {
+			return fmt.Errorf("%w: %d tags exceeds limit %d", ErrInvalidUpsert, len(r.Tags), maxTagsPerRecord)
+		}
+		for k, v := range r.Tags {
+			if k == "" {
+				return fmt.Errorf("%w: empty tag key", ErrInvalidUpsert)
+			}
+			if len(k) > maxTagBytes || len(v) > maxTagBytes {
+				return fmt.Errorf("%w: tag %.32q is %d+%d bytes, limit %d each", ErrInvalidUpsert, k, len(k), len(v), maxTagBytes)
+			}
+		}
+	}
+	if r.Type.HasText() && len(r.Text) > MaxTextBytes {
+		return fmt.Errorf("%w: document text %d bytes exceeds limit %d", ErrInvalidUpsert, len(r.Text), MaxTextBytes)
+	}
+	if n := r.payloadLen(); n > maxRecordBytes {
+		return fmt.Errorf("%w: record of %d bytes exceeds limit %d", ErrInvalidUpsert, n, maxRecordBytes)
+	}
+	return nil
 }
 
 // CorruptError reports a WAL frame, snapshot, or manifest that failed
@@ -149,143 +218,138 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("store: corrupt record in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// encodeRecord frames r: u32 payload length, u32 CRC32-C of payload,
-// payload. Payload layout: type u8, seq u64, id i64, then for upserts
-// part u32, level u32, dim u32, dim float32s. Tagged upserts append a
-// tag block: u16 pair count, then per pair u16 key length, key bytes,
-// u16 value length, value bytes. Text upserts append u32 text length
-// and the text bytes.
-func encodeRecord(r Record) []byte {
-	n := 1 + 8 + 8
-	upsert := r.Type == RecordUpsert || r.Type == RecordUpsertTagged || r.Type == RecordUpsertText
-	if upsert {
-		n += 4 + 4 + 4 + 4*len(r.Vec)
+// Payload layout: type u8, seq u64, id i64; then for upserts part u32,
+// level u32, dim u32, dim float32s; then, if the kind carries one, the
+// tag block (u16 pair count, per pair u16 key length, key bytes, u16
+// value length, value bytes; keys strictly increasing); then, if the
+// kind carries one, the text block (u32 length, bytes). Nothing may
+// follow: every kind's length is exact.
+const (
+	recHeaderLen    = 1 + 8 + 8
+	upsertHeaderLen = recHeaderLen + 4 + 4 + 4
+)
+
+// payloadLen is the encoded payload size of r.
+func (r Record) payloadLen() int {
+	if !r.Type.IsUpsert() {
+		return recHeaderLen
 	}
-	if r.Type == RecordUpsertText {
+	n := upsertHeaderLen + 4*len(r.Vec)
+	if r.Type.HasTags() {
+		n += 2
+		for k, v := range r.Tags {
+			n += 2 + len(k) + 2 + len(v)
+		}
+	}
+	if r.Type.HasText() {
 		n += 4 + len(r.Text)
 	}
-	var keys []string
-	if r.Type == RecordUpsertTagged {
-		n += 2
-		keys = make([]string, 0, len(r.Tags))
+	return n
+}
+
+// encodeRecord frames r: u32 payload length, u32 CRC32-C of payload,
+// payload.
+func encodeRecord(r Record) []byte {
+	le := binary.LittleEndian
+	n := r.payloadLen()
+	buf := make([]byte, 8, 8+n)
+	buf = append(buf, byte(r.Type))
+	buf = le.AppendUint64(buf, r.Seq)
+	buf = le.AppendUint64(buf, uint64(r.ID))
+	if r.Type.IsUpsert() {
+		buf = le.AppendUint32(buf, uint32(r.Part))
+		buf = le.AppendUint32(buf, uint32(r.Level))
+		buf = le.AppendUint32(buf, uint32(len(r.Vec)))
+		for _, x := range r.Vec {
+			buf = le.AppendUint32(buf, math.Float32bits(x))
+		}
+	}
+	if r.Type.HasTags() {
+		keys := make([]string, 0, len(r.Tags))
 		for k := range r.Tags {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys) // deterministic bytes: same record always encodes identically
+		buf = le.AppendUint16(buf, uint16(len(keys)))
 		for _, k := range keys {
-			n += 2 + len(k) + 2 + len(r.Tags[k])
+			buf = le.AppendUint16(buf, uint16(len(k)))
+			buf = append(buf, k...)
+			buf = le.AppendUint16(buf, uint16(len(r.Tags[k])))
+			buf = append(buf, r.Tags[k]...)
 		}
 	}
-	buf := make([]byte, 8+n)
-	p := buf[8:]
-	p[0] = byte(r.Type)
-	binary.LittleEndian.PutUint64(p[1:], r.Seq)
-	binary.LittleEndian.PutUint64(p[9:], uint64(r.ID))
-	if upsert {
-		binary.LittleEndian.PutUint32(p[17:], uint32(r.Part))
-		binary.LittleEndian.PutUint32(p[21:], uint32(r.Level))
-		binary.LittleEndian.PutUint32(p[25:], uint32(len(r.Vec)))
-		for i, x := range r.Vec {
-			binary.LittleEndian.PutUint32(p[29+4*i:], math.Float32bits(x))
-		}
+	if r.Type.HasText() {
+		buf = le.AppendUint32(buf, uint32(len(r.Text)))
+		buf = append(buf, r.Text...)
 	}
-	if r.Type == RecordUpsertTagged {
-		off := 29 + 4*len(r.Vec)
-		binary.LittleEndian.PutUint16(p[off:], uint16(len(keys)))
-		off += 2
-		for _, k := range keys {
-			v := r.Tags[k]
-			binary.LittleEndian.PutUint16(p[off:], uint16(len(k)))
-			off += 2
-			off += copy(p[off:], k)
-			binary.LittleEndian.PutUint16(p[off:], uint16(len(v)))
-			off += 2
-			off += copy(p[off:], v)
-		}
-	}
-	if r.Type == RecordUpsertText {
-		off := 29 + 4*len(r.Vec)
-		binary.LittleEndian.PutUint32(p[off:], uint32(len(r.Text)))
-		copy(p[off+4:], r.Text)
-	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(n))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(p, crcTable))
+	le.PutUint32(buf[0:], uint32(n))
+	le.PutUint32(buf[4:], crc32.Checksum(buf[8:], crcTable))
 	return buf
 }
 
 // decodePayload parses a CRC-verified payload.
 func decodePayload(p []byte) (Record, error) {
-	if len(p) < 17 {
+	le := binary.LittleEndian
+	if len(p) < recHeaderLen {
 		return Record{}, fmt.Errorf("payload too short (%d bytes)", len(p))
 	}
-	r := Record{
-		Type: RecordType(p[0]),
-		Seq:  binary.LittleEndian.Uint64(p[1:]),
-		ID:   int64(binary.LittleEndian.Uint64(p[9:])),
+	r := Record{Type: RecordType(p[0]), Seq: le.Uint64(p[1:]), ID: int64(le.Uint64(p[9:]))}
+	if !r.Type.IsUpsert() && r.Type != RecordDelete {
+		return Record{}, fmt.Errorf("unknown record type %d", p[0])
 	}
-	switch r.Type {
-	case RecordDelete:
-		return r, nil
-	case RecordUpsert, RecordUpsertTagged, RecordUpsertText:
-		if len(p) < 29 {
+	off := recHeaderLen
+	if r.Type.IsUpsert() {
+		if len(p) < upsertHeaderLen {
 			return Record{}, fmt.Errorf("upsert payload too short (%d bytes)", len(p))
 		}
-		r.Part = int(binary.LittleEndian.Uint32(p[17:]))
-		r.Level = int(binary.LittleEndian.Uint32(p[21:]))
-		dim := int(binary.LittleEndian.Uint32(p[25:]))
-		if dim < 0 || dim > (maxRecordBytes-29)/4 {
-			return Record{}, fmt.Errorf("implausible upsert dim %d", dim)
-		}
-		vecEnd := 29 + 4*dim
-		switch r.Type {
-		case RecordUpsert:
-			if len(p) != vecEnd {
-				return Record{}, fmt.Errorf("upsert payload %d bytes, want %d for dim %d", len(p), vecEnd, dim)
-			}
-		case RecordUpsertTagged:
-			if len(p) < vecEnd+2 {
-				return Record{}, fmt.Errorf("tagged upsert payload %d bytes, shorter than vector + tag count for dim %d", len(p), dim)
-			}
-		case RecordUpsertText:
-			if len(p) < vecEnd+4 {
-				return Record{}, fmt.Errorf("text upsert payload %d bytes, shorter than vector + text length for dim %d", len(p), dim)
-			}
+		r.Part = int(le.Uint32(p[17:]))
+		r.Level = int(le.Uint32(p[21:]))
+		dim := int(le.Uint32(p[25:]))
+		off = upsertHeaderLen + 4*dim
+		if dim > (maxRecordBytes-upsertHeaderLen)/4 || len(p) < off {
+			return Record{}, fmt.Errorf("%s payload %d bytes, too short for dim %d", r.Type, len(p), dim)
 		}
 		r.Vec = make([]float32, dim)
 		for i := range r.Vec {
-			r.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[29+4*i:]))
+			r.Vec[i] = math.Float32frombits(le.Uint32(p[upsertHeaderLen+4*i:]))
 		}
-		if r.Type == RecordUpsertTagged {
-			tags, err := decodeTagBlock(p[vecEnd:])
-			if err != nil {
-				return Record{}, err
-			}
-			r.Tags = tags
-		}
-		if r.Type == RecordUpsertText {
-			tl := int(binary.LittleEndian.Uint32(p[vecEnd:]))
-			if tl > MaxTextBytes {
-				return Record{}, fmt.Errorf("implausible text length %d", tl)
-			}
-			if len(p) != vecEnd+4+tl {
-				return Record{}, fmt.Errorf("text upsert payload %d bytes, want %d for dim %d text %d", len(p), vecEnd+4+tl, dim, tl)
-			}
-			r.Text = string(p[vecEnd+4:])
-		}
-		return r, nil
 	}
-	return Record{}, fmt.Errorf("unknown record type %d", p[0])
+	if r.Type.HasTags() {
+		tags, n, err := decodeTagBlock(p[off:])
+		if err != nil {
+			return Record{}, err
+		}
+		r.Tags, off = tags, off+n
+	}
+	if r.Type.HasText() {
+		if len(p) < off+4 {
+			return Record{}, fmt.Errorf("%s payload %d bytes, too short for its text length", r.Type, len(p))
+		}
+		tl := int(le.Uint32(p[off:]))
+		off += 4
+		if tl > MaxTextBytes || len(p) < off+tl {
+			return Record{}, fmt.Errorf("%s payload %d bytes, too short for text length %d", r.Type, len(p), tl)
+		}
+		r.Text, off = string(p[off:off+tl]), off+tl
+	}
+	if off != len(p) {
+		return Record{}, fmt.Errorf("%s payload has %d trailing bytes", r.Type, len(p)-off)
+	}
+	return r, nil
 }
 
-// decodeTagBlock parses the tag block of a tagged upsert, requiring it
-// to consume the slice exactly. Keys must be strictly increasing — the
-// canonical order encodeRecord writes — so every accepted record
-// re-encodes to its exact frame bytes (the round-trip invariant the WAL
-// fuzzer checks) and duplicates are impossible.
-func decodeTagBlock(b []byte) (map[string]string, error) {
+// decodeTagBlock parses the tag block at the head of b and returns how
+// many bytes it spans. Keys must be strictly increasing — the canonical
+// order encodeRecord writes — so every accepted record re-encodes to
+// its exact frame bytes (the round-trip invariant the WAL fuzzer checks)
+// and duplicates are impossible.
+func decodeTagBlock(b []byte) (map[string]string, int, error) {
+	if len(b) < 2 {
+		return nil, 0, fmt.Errorf("payload too short for its tag count")
+	}
 	n := int(binary.LittleEndian.Uint16(b))
 	if n > maxTagsPerRecord {
-		return nil, fmt.Errorf("implausible tag count %d", n)
+		return nil, 0, fmt.Errorf("implausible tag count %d", n)
 	}
 	off := 2
 	prev := ""
@@ -294,29 +358,26 @@ func decodeTagBlock(b []byte) (map[string]string, error) {
 		var kv [2]string
 		for j := 0; j < 2; j++ {
 			if off+2 > len(b) {
-				return nil, fmt.Errorf("tag block truncated at pair %d", i)
+				return nil, 0, fmt.Errorf("tag block truncated at pair %d", i)
 			}
 			l := int(binary.LittleEndian.Uint16(b[off:]))
 			off += 2
 			if off+l > len(b) {
-				return nil, fmt.Errorf("tag block truncated at pair %d", i)
+				return nil, 0, fmt.Errorf("tag block truncated at pair %d", i)
 			}
 			kv[j] = string(b[off : off+l])
 			off += l
 		}
 		if kv[0] == "" {
-			return nil, fmt.Errorf("empty tag key at pair %d", i)
+			return nil, 0, fmt.Errorf("empty tag key at pair %d", i)
 		}
 		if i > 0 && kv[0] <= prev {
-			return nil, fmt.Errorf("tag keys out of canonical order at pair %d", i)
+			return nil, 0, fmt.Errorf("tag keys out of canonical order at pair %d", i)
 		}
 		prev = kv[0]
 		tags[kv[0]] = kv[1]
 	}
-	if off != len(b) {
-		return nil, fmt.Errorf("tag block has %d trailing bytes", len(b)-off)
-	}
-	return tags, nil
+	return tags, off, nil
 }
 
 // walSegment is one on-disk log file.

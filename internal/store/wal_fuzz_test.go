@@ -40,6 +40,9 @@ func FuzzReadRecord(f *testing.F) {
 		Record{Seq: 4, Type: RecordUpsertTagged, Part: 1, Level: 0, ID: 11, Vec: []float32{1, 2},
 			Tags: map[string]string{"lang": "en", "bucket": "hot"}},
 		Record{Seq: 5, Type: RecordUpsertTagged, Part: 0, Level: 1, ID: 12, Vec: []float32{3}},
+		Record{Seq: 6, Type: RecordUpsertText, Part: 1, Level: 0, ID: 13, Vec: []float32{4}, Text: "some text"},
+		Record{Seq: 7, Type: RecordUpsertTaggedText, Part: 1, Level: 0, ID: 14, Vec: []float32{5, 6},
+			Tags: map[string]string{"lang": "de"}, Text: "tags and text"},
 	)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])           // torn payload

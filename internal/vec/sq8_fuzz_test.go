@@ -94,7 +94,11 @@ func FuzzSQ8Codec(f *testing.F) {
 					t.Fatalf("row %d dim %d: |decode-encode| = %v > Scale/2 = %v (v=%v)", i, j, d, bound, v[j])
 				}
 			}
-			if math.IsInf(float64(dec[0]), 0) || math.IsNaN(float64(dec[0])) {
+			finite := true
+			for _, x := range dec { // any dim's range may have overflowed, not just dim 0
+				finite = finite && !math.IsInf(float64(x), 0) && !math.IsNaN(float64(x))
+			}
+			if !finite {
 				continue
 			}
 			if err := s.Encode(dec, re); err != nil {

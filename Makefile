@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair fuzz-smoke clean
+.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair bench-filter fuzz-smoke clean
 
 all: build
 
@@ -60,8 +60,9 @@ bench:
 # variants, the filtered-search selectivity sweep, and the hybrid
 # (BM25 + vector rank fusion) benchmark on a reduced workload; fail if
 # the quantized path's recall drops more than a point below scalar,
-# the 1%-selectivity filtered pushdown recall falls below 0.95, or
-# hybrid RRF recall falls below the vector-only baseline on the
+# the 1%-selectivity filtered recall falls below 0.95 (the filter
+# planner answers that tier by scanning its candidates, so it reads
+# 1.0), or hybrid RRF recall falls below the vector-only baseline on the
 # keyword-skewed workload. CI runs this on every push; the committed
 # BENCH_results.json is regenerated with the full default workload
 # (plain `annbench -json BENCH_results.json`).
@@ -79,6 +80,15 @@ WORKLOAD ?= hybrid
 PAIRS ?= 10
 bench-pair:
 	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# The measurement the filter planner's cut-over is derived from
+# (DESIGN §10): every rung of the selectivity ladder answered by the
+# candidate scan and by the beam, under nprobe 2, nprobe = all and
+# adaptive routing, on the dynamic graph and the frozen SQ8 layout —
+# time, distance computations and recall per query, and which of the two
+# the planner picks. One core, two passes over 256 queries per cell.
+bench-filter:
+	$(GO) test -run '^$$' -bench BenchmarkFilteredLadder -benchtime 512x -cpu 1 ./internal/core
 
 # Short native-fuzzing passes: the WAL record scanner (no input may
 # panic it or deliver a record whose CRC does not verify), the one

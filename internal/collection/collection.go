@@ -326,6 +326,21 @@ func (c *Collection) Drain(ctx context.Context) error {
 	return nil
 }
 
+// TagVarz adds the tag store's sizes and the filter planner's decisions
+// to an engine's /varz section: how many filtered searches scanned their
+// candidates and how many ran the beam, and the candidates they counted
+// — filtered_candidates over filtered_scans + filtered_beams is the mean
+// selectivity the planner saw. The single-engine gateway and every
+// collection report the same keys.
+func TagVarz(m map[string]any, e *core.Engine) {
+	ts := e.TagStats()
+	m["tag_terms"] = ts.Terms
+	m["tag_postings"] = ts.Postings
+	m["filtered_scans"] = ts.Scans
+	m["filtered_beams"] = ts.Beams
+	m["filtered_candidates"] = ts.Candidates
+}
+
 // Varz returns the collection's observability section for /varz.
 func (c *Collection) Varz() map[string]any {
 	e := c.Engine()
@@ -340,6 +355,7 @@ func (c *Collection) Varz() map[string]any {
 		"inflight":   c.inflight.Load(),
 		"draining":   c.draining.Load(),
 	}
+	TagVarz(m, e)
 	if c.cfg.MaxInflight > 0 {
 		m["max_inflight"] = c.cfg.MaxInflight
 	}

@@ -87,6 +87,7 @@ func (e *Engine) AddAt(p int, v []float32, id int64, level int) error {
 	if _, err := g.AddAtLevel(v, id, level); err != nil {
 		return err
 	}
+	e.tags.added(p, g, id)
 	d := e.dyn()
 	d.mu.Lock()
 	d.inserted++
@@ -249,9 +250,6 @@ func (e *Engine) Rebuild() error {
 	d.tombstone = make(map[int64]bool)
 	d.inserted = 0
 	d.mu.Unlock()
-	// Compacted-away IDs no longer exist; drop their tags.
-	for _, id := range dead {
-		e.tags.delete(id)
-	}
+	e.tags.rebuilt(fresh.parts, dead)
 	return nil
 }

@@ -46,9 +46,11 @@ type Engine struct {
 	// read without holding swapMu; its own mutex guards the contents.
 	dynamic *dynamicState
 
-	// tags holds per-vector metadata consulted by filtered search; set
-	// at construction and never reassigned (internally concurrency-safe).
+	// tags holds per-vector metadata as postings, consulted by filtered
+	// search; set at construction and never reassigned (internally
+	// concurrency-safe). plan counts what the filter planner decided.
 	tags *tagStore
+	plan planCounters
 
 	// lex is the BM25 inverted index behind SearchHybrid. Like tags it
 	// is internally concurrency-safe; the pointer itself is guarded by
@@ -175,17 +177,22 @@ func (e *Engine) SearchStats(q []float32, k int) ([]topk.Result, index.Stats, er
 // FilterPredicate compiles a filter expression into an ID predicate
 // over the engine's tag store. A nil/empty expression compiles to nil
 // (match everything), which every layer below treats as the unfiltered
-// search. The predicate is lock-free and safe for concurrent use.
+// search. The predicate is lock-free and safe for concurrent use. It
+// reads each ID's current tags but resolves the filter's values once,
+// here: a value no ID carried at this moment never matches through it,
+// so build one per query, as the engine's own read paths do.
 func (e *Engine) FilterPredicate(f *filter.Expr) func(int64) bool {
 	if f.Empty() {
 		return nil
 	}
-	return func(id int64) bool { return f.Matches(e.tags.get(id)) }
+	tf := new(tagFilter)
+	e.tags.compile(f, tf)
+	tf.posts = nil // the predicate reads term lists only; do not pin the postings
+	return tf.match
 }
 
 // SearchFiltered returns the approximate k nearest neighbors of q whose
-// tags satisfy f, with the predicate pushed down into the per-partition
-// graph traversal (see hnsw.SearchEfFiltered). Tombstones are filtered
+// tags satisfy f; see SearchFilteredStats. Tombstones are filtered
 // exactly as in Search.
 func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Result, error) {
 	rs, _, err := e.SearchFilteredStats(q, k, f)
@@ -195,7 +202,11 @@ func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Resu
 // SearchFilteredStats is SearchFiltered plus the work performed. It is
 // the engine's one read path (Algorithms 3-4): route q to its
 // partitions, run one local search per partition, merge, drop
-// tombstones. A nil or empty f is the unfiltered search.
+// tombstones. A nil or empty f is the unfiltered search. Under a filter
+// the tag postings are counted first: when the candidates are no more
+// than the rows the beam's work is worth (scanBeatsBeam), their rows
+// are scored exactly across every partition and routing does not run;
+// otherwise the predicate rides along in the beam.
 func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk.Result, index.Stats, error) {
 	if len(q) != e.dim {
 		return nil, index.Stats{}, fmt.Errorf("core: query dim %d, index dim %d", len(q), e.dim)
@@ -203,9 +214,42 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 	if k <= 0 {
 		k = e.cfg.K
 	}
-	keep := e.FilterPredicate(f)
 	fetch := e.overfetch(k)
 	tree, parts := e.view()
+	var (
+		keep  func(int64) bool
+		lists [][]topk.Result
+		total index.Stats
+	)
+	if !f.Empty() {
+		sc := planPool.Get().(*planScratch)
+		defer sc.release()
+		e.tags.compile(f, &sc.tf)
+		e.plan.candidates.Add(int64(sc.tf.count))
+		if e.scanBeatsBeam(sc.tf.count, parts, fetch) {
+			if rs, scored, ok := e.scanCandidates(q, fetch, sc, parts); ok {
+				lists, total = [][]topk.Result{rs}, index.Stats{DistComps: scored}
+			}
+		}
+		if lists != nil {
+			e.plan.scans.Add(1)
+		} else {
+			e.plan.beams.Add(1)
+			keep = sc.tf.match
+		}
+	}
+	if lists == nil {
+		var err error
+		if lists, total, err = e.beam(q, fetch, keep, tree, parts); err != nil {
+			return nil, total, err
+		}
+	}
+	return e.filterDeleted(topk.Merge(fetch, lists...), k), total, nil
+}
+
+// beam routes q and runs one local search per routed partition, keep
+// (nil for none) riding along in each.
+func (e *Engine) beam(q []float32, fetch int, keep func(int64) bool, tree *vptree.PartitionTree, parts []index.Local) ([][]topk.Result, index.Stats, error) {
 	var (
 		routes []vptree.Route
 		lists  [][]topk.Result
@@ -218,7 +262,7 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 		// than the unfiltered one, so the ball — and hence the route
 		// set — is conservative (correct, possibly wider).
 		home = tree.Home(q)
-		first, st, err := index.SearchFiltered(parts[home], q, fetch, keep)
+		first, st, err := parts[home].SearchFiltered(q, fetch, keep)
 		if err != nil {
 			return nil, st, err
 		}
@@ -235,14 +279,14 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 		if rt.Partition == home {
 			continue
 		}
-		rs, st, err := index.SearchFiltered(parts[rt.Partition], q, fetch, keep)
+		rs, st, err := parts[rt.Partition].SearchFiltered(q, fetch, keep)
 		if err != nil {
 			return nil, total, err
 		}
 		total = addStats(total, st)
 		lists = append(lists, rs)
 	}
-	return e.filterDeleted(topk.Merge(fetch, lists...), k), total, nil
+	return lists, total, nil
 }
 
 func addStats(a, b index.Stats) index.Stats {
@@ -392,6 +436,9 @@ func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
 	parts[p] = l
 	e.parts = parts
 	e.swapMu.Unlock()
+	// Tags go before the tombstones do, so a candidate scan still on the
+	// old partition finds a folded ID either tombstoned or untagged.
+	e.tags.swapped(p, l, folded)
 	if len(folded) > 0 {
 		d := e.dyn()
 		d.mu.Lock()
@@ -399,10 +446,6 @@ func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
 			delete(d.tombstone, id)
 		}
 		d.mu.Unlock()
-		// Folded IDs left the index for good; drop their tags too.
-		for _, id := range folded {
-			e.tags.delete(id)
-		}
 	}
 	return nil
 }

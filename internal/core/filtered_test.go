@@ -1,14 +1,15 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/filter"
+	"repro/internal/hnsw"
+	"repro/internal/index"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
@@ -178,90 +179,235 @@ func TestEngineFilteredVsPostFilter(t *testing.T) {
 	t.Logf("valid hits over %d queries: pushdown=%d post-filter=%d", nq, push, post)
 }
 
-// TestFilteredSearchConcurrentMutation races filtered searches against
-// upserts, deletes, and tag rewrites. Run under -race in tier1.
+// TestFilteredSearchConcurrentMutation races filtered searches on both
+// sides of the planner's cut-over ("t1=1" is scanned, "t100=1" runs the
+// beam) against one writer that adds tagged points, deletes, rewrites
+// tags, re-upserts one ID and compacts partitions, on the dynamic graph
+// and on the frozen SQ8 layout. Run under -race in tier1.
+//
+// What every answer must satisfy, whatever it raced with:
+//   - a set of pinned IDs whose vectors and tags never change, placed
+//     so that they are the nearest matches of the pinned query, appears
+//     in full in every answer to that query;
+//   - no ID is returned twice, and none whose tags never satisfied the
+//     filter at any time;
+//   - no ID deleted before the query began is returned (a query that
+//     overlapped a partition swap is exempt: it may hold the old
+//     partition while the swap clears the tombstones it folded);
+//   - the re-upserted ID is reported at the distance of a vector at
+//     least as new as the one current when the query began.
 func TestFilteredSearchConcurrentMutation(t *testing.T) {
-	const n = 2000
-	ds := clustered(t, n, 12, 6, 3)
-	cfg := DefaultConfig(2)
+	for _, mode := range []struct {
+		name   string
+		mutate func(*Config)
+	}{ladderModes[0], ladderModes[2]} {
+		t.Run(mode.name, func(t *testing.T) { filteredChurn(t, mode.mutate) })
+	}
+}
+
+func filteredChurn(t *testing.T, mutate func(*Config)) {
+	const (
+		n, dim, k = 2000, 12, 12
+		pinned0   = int64(100000) // pinned IDs pinned0..pinned0+4
+		mover     = int64(100100)
+		added0    = int64(200000)
+		rounds    = 160
+	)
+	ds := clustered(t, n, dim, 6, 3)
+	// The pinned cluster sits on a base point, well inside the graph:
+	// five points within a twentieth of the way to its nearest neighbor
+	// (r), the mover approaching from r/2 in a dozen steps (few enough
+	// that its stale rows do not crowd each other's link lists). With
+	// the base point itself that is seven of the k nearest, whatever
+	// else is added or deleted.
+	const base = 7
+	center := append([]float32(nil), ds.At(base)...)
+	r := float32(math.MaxFloat32)
+	for i := 0; i < n; i++ {
+		if d := vec.L2Distance(center, ds.At(i)); i != base && d < r {
+			r = d
+		}
+	}
+	allTags := map[string]string{"t100": "1", "t10": "1", "t1": "1"}
+	for i := 0; i < 5; i++ {
+		v := append([]float32(nil), center...)
+		v[i] += 0.01 * r * float32(i+1)
+		ds.Append(v, pinned0+int64(i))
+	}
+	moverVec := func(ver int64) []float32 {
+		v := append([]float32(nil), center...)
+		v[dim-1] += r * (0.5 - 0.025*float32(ver))
+		return v
+	}
+	ds.Append(moverVec(0), mover)
+	everT1 := func(id int64) bool { return id >= pinned0 && id < added0 || id%100 == 0 }
+
+	cfg := DefaultConfig(4)
+	mutate(&cfg)
 	e, err := NewEngine(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagAll(e, n)
-	f := filter.MustParse("t10=1")
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-
-	// Mutators: interleave adds (with tags), deletes, and tag rewrites.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(42))
-		v := make([]float32, 12)
-		for i := 0; !stop.Load(); i++ {
-			id := int64(n + i)
-			for j := range v {
-				v[j] = rng.Float32()
-			}
-			if err := e.Add(v, id); err != nil {
-				errs <- err
-				return
-			}
+	for i := 0; i < ds.Len(); i++ {
+		if id := ds.ID(i); id < pinned0 {
 			e.SetTags(id, tagForID(id))
-			if i%3 == 0 {
-				e.Delete(int64(rng.Intn(n)))
-			}
-			if i%5 == 0 {
-				e.SetTags(int64(rng.Intn(n)), map[string]string{"t100": "1", "rewritten": "yes"})
-			}
+		} else {
+			e.SetTags(id, allTags)
 		}
-	}()
+	}
 
-	// Searchers: filtered queries must never return a non-matching or
-	// foreign ID.
+	var (
+		moverVer  atomic.Int64 // newest version whose Add has returned
+		deadSeq   atomic.Int64
+		swapEpoch atomic.Int64 // odd while a swap is in progress
+		deadMu    sync.RWMutex
+		deadAt    = map[int64]int64{} // id -> deadSeq after its Delete returned
+		done      = make(chan struct{})
+		wg        sync.WaitGroup
+	)
+
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				q := ds.At(rng.Intn(n))
-				rs, err := e.SearchFiltered(q, 5, f)
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				expr, ever := "t100=1", func(int64) bool { return true }
+				if (i+w)%2 == 0 {
+					expr, ever = "t1=1", everT1
+				}
+				q, atCenter := center, i%3 != 0
+				if !atCenter {
+					q = ds.At(rng.Intn(n))
+				}
+				dead0, epoch0, ver0 := deadSeq.Load(), swapEpoch.Load(), moverVer.Load()
+				rs, err := e.SearchFiltered(q, k, filter.MustParse(expr))
 				if err != nil {
-					errs <- err
+					t.Error(err)
 					return
 				}
+				ver1 := moverVer.Load() + 1 // an Add may have landed without its store yet
+				swapped := epoch0%2 == 1 || swapEpoch.Load() != epoch0
+				seen := map[int64]bool{}
+				deadMu.RLock()
 				for _, r := range rs {
-					tags := e.Tags(r.ID)
-					_ = tags // value raced by rewrites; presence checked below
-					if r.ID < 0 {
-						errs <- fmt.Errorf("impossible id %d", r.ID)
-						return
+					if seen[r.ID] {
+						t.Errorf("%s: id %d returned twice", expr, r.ID)
+					}
+					seen[r.ID] = true
+					if !ever(r.ID) {
+						t.Errorf("%s: id %d never carried a matching tag", expr, r.ID)
+					}
+					if at, ok := deadAt[r.ID]; ok && at <= dead0 && !swapped {
+						t.Errorf("%s: id %d was deleted before the query began", expr, r.ID)
+					}
+					if r.ID == mover && atCenter {
+						ok := false
+						for ver := ver0; ver <= ver1 && !ok; ver++ {
+							ok = r.Dist == vec.L2Distance(center, moverVec(ver))
+						}
+						if !ok {
+							t.Errorf("%s: mover at distance %v, not one of versions %d..%d", expr, r.Dist, ver0, ver1)
+						}
 					}
 				}
+				deadMu.RUnlock()
+				if atCenter {
+					for i := int64(0); i < 5; i++ {
+						if !seen[pinned0+i] {
+							t.Errorf("%s: pinned id %d missing from %v", expr, pinned0+i, rs)
+						}
+					}
+					if !seen[mover] {
+						t.Errorf("%s: re-upserted id missing from %v", expr, rs)
+					}
+				}
+				if t.Failed() {
+					return
+				}
 			}
-		}(int64(w))
+		}(w)
 	}
 
-	for i := 0; i < 100; i++ {
-		select {
-		case err := <-errs:
-			stop.Store(true)
-			wg.Wait()
+	rng := rand.New(rand.NewSource(42))
+	v := make([]float32, dim)
+	rewritten := map[int64]bool{}
+	for i := 0; i < rounds && !t.Failed(); i++ {
+		id := added0 + int64(i)
+		copy(v, ds.At(base+1+rng.Intn(n-base-1)))
+		v[rng.Intn(dim)] += rng.Float32()
+		if err := e.Add(v, id); err != nil {
 			t.Fatal(err)
-		default:
-			time.Sleep(2 * time.Millisecond)
+		}
+		e.SetTags(id, tagForID(id))
+		if i%3 == 0 {
+			id := int64(rng.Intn(n))
+			e.Delete(id)
+			deadMu.Lock()
+			if _, ok := deadAt[id]; !ok {
+				deadAt[id] = deadSeq.Add(1)
+			}
+			deadMu.Unlock()
+		}
+		if i%2 == 0 {
+			// Strip the selective tags from a base point, or give them back.
+			id := int64(rng.Intn(n))
+			if rewritten[id] = !rewritten[id]; rewritten[id] {
+				e.SetTags(id, map[string]string{"t100": "1", "rewritten": "yes"})
+			} else {
+				e.SetTags(id, tagForID(id))
+			}
+		}
+		if i%20 == 0 {
+			ver := moverVer.Load() + 1
+			if err := e.Add(moverVec(ver), mover); err != nil {
+				t.Fatal(err)
+			}
+			moverVer.Store(ver)
+		}
+		if i%40 == 39 {
+			swapEpoch.Add(1)
+			compactForTest(t, e, (i/40)%e.Partitions())
+			swapEpoch.Add(1)
 		}
 	}
-	stop.Store(true)
+	close(done)
 	wg.Wait()
-	select {
-	case err := <-errs:
+	if st := e.TagStats(); st.Scans == 0 || st.Beams == 0 {
+		t.Fatalf("the filters did not straddle the cut-over: %+v", st)
+	}
+}
+
+// compactForTest rebuilds partition p without its tombstoned rows and
+// swaps it in, as the store's compactor does. The caller is the only
+// writer.
+func compactForTest(t *testing.T, e *Engine, p int) {
+	t.Helper()
+	g, ok := e.PartitionGraph(p)
+	if !ok {
+		t.Fatalf("partition %d has no graph", p)
+	}
+	rows := g.DataSnapshot()
+	live := vec.NewDataset(rows.Dim, rows.Len())
+	var folded []int64
+	for i := 0; i < rows.Len(); i++ {
+		if id := rows.ID(i); e.Deleted(id) {
+			folded = append(folded, id)
+		} else {
+			live.Append(rows.At(i), id)
+		}
+	}
+	ng, _, err := hnsw.Build(live, g.Config(), 1)
+	if err != nil {
 		t.Fatal(err)
-	default:
+	}
+	if err := e.SwapPartition(p, index.WrapHNSW(ng), folded); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,111 +1,505 @@
 package core
 
 import (
+	"bufio"
+	"cmp"
+	"fmt"
+	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/filter"
+	"repro/internal/hnsw"
+	"repro/internal/index"
 )
 
-// Per-vector metadata tags. Tags are small string maps attached to
-// global IDs, consulted by filtered search during graph traversal. The
-// store is a sync.Map of immutable maps: SetTags installs a fresh copy
-// on every write and readers never see a map that is concurrently
-// mutated, so the filtered hot path can evaluate predicates lock-free
-// while upserts stream in.
+// Per-vector metadata tags, stored as postings. A tag is a key=value
+// pair; each distinct pair is interned once as a term with a dense
+// ordinal. The store keeps, per term, the sorted list of global IDs
+// carrying it (its posting list) and, per ID, the sorted list of its
+// term ordinals — so it can answer both "does this ID match" (under the
+// graph beam) and "which IDs match, and how many" (the filter planner,
+// see Engine.scanBeatsBeam). Once an engine has tags the per-ID entry
+// also locates the ID's newest vector, which is what lets a posting be
+// scored without a graph. An engine that never sets a tag allocates
+// none of this.
+//
+// Writers are serialized by mu. Readers never hold it while they work:
+// a compile copies the posting slice headers it needs under the read
+// lock and then walks them freely, because a writer only ever appends
+// beyond a published length or installs a fresh copy; per-ID entries
+// are immutable values in a sync.Map, so the predicate under the beam
+// takes no lock at all.
 type tagStore struct {
-	m sync.Map // int64 -> map[string]string (immutable once stored)
-	n atomic.Int64
+	mu    sync.RWMutex
+	ord   map[tagTerm]uint32 // term -> ordinal
+	names []tagTerm          // ordinal -> term; append-only
+	posts [][]int64          // ordinal -> ascending IDs carrying the term
+
+	ids sync.Map // int64 -> *idEntry
+
+	// located is set once the per-ID entries carry locations; from then
+	// on every insert and partition swap keeps them current.
+	located  atomic.Bool
+	tagged   atomic.Int64 // IDs carrying tags
+	postings atomic.Int64 // entries across all posting lists
+}
+
+// tagTerm is one interned key=value pair. Terms live until the next
+// RestoreTags, also after their last posting is gone, so an ordinal
+// never changes meaning under a compiled filter.
+type tagTerm struct{ key, val string }
+
+// idEntry is what the store holds for one global ID: its tags as sorted
+// term ordinals and where its newest vector sits. Entries are immutable
+// once published; a change installs a new one.
+type idEntry struct {
+	terms []uint32
+	part  int32 // partition of the newest row, -1 while none is known
+	row   uint32
 }
 
 func newTagStore() *tagStore { return &tagStore{} }
 
-// get returns the stored immutable tag map for id (nil if untagged).
-// Callers must not mutate the result.
-func (t *tagStore) get(id int64) map[string]string {
-	v, ok := t.m.Load(id)
-	if !ok {
-		return nil
+func (t *tagStore) entry(id int64) *idEntry {
+	if v, ok := t.ids.Load(id); ok {
+		return v.(*idEntry)
 	}
-	return v.(map[string]string)
+	return nil
 }
 
-// set installs a copy of tags for id; nil or empty removes the entry.
-func (t *tagStore) set(id int64, tags map[string]string) {
-	if len(tags) == 0 {
-		if _, loaded := t.m.LoadAndDelete(id); loaded {
-			t.n.Add(-1)
-		}
+// put publishes id's entry; one with neither tags nor a location is
+// dropped.
+func (t *tagStore) put(id int64, terms []uint32, part int32, row uint32) {
+	if len(terms) == 0 && part < 0 {
+		t.ids.Delete(id)
 		return
 	}
-	cp := make(map[string]string, len(tags))
-	for k, v := range tags {
-		cp[k] = v
+	t.ids.Store(id, &idEntry{terms: terms, part: part, row: row})
+}
+
+// intern returns the ordinal of key=val, assigning the next one to a
+// pair not seen before. Caller holds mu.
+func (t *tagStore) intern(key, val string) uint32 {
+	term := tagTerm{key, val}
+	if o, ok := t.ord[term]; ok {
+		return o
 	}
-	if _, loaded := t.m.Swap(id, cp); !loaded {
-		t.n.Add(1)
+	if t.ord == nil {
+		t.ord = make(map[tagTerm]uint32)
+	}
+	o := uint32(len(t.names))
+	t.ord[term] = o
+	t.names = append(t.names, term)
+	t.posts = append(t.posts, nil)
+	return o
+}
+
+// post adds id to term o's posting list. Ascending IDs — bulk loads,
+// restores and fresh upserts — append in amortised O(1) into capacity no
+// reader's slice covers; an ID below the current tail installs a copy,
+// because readers may be walking the published one. Caller holds mu.
+func (t *tagStore) post(o uint32, id int64) {
+	p := t.posts[o]
+	if n := len(p); n == 0 || p[n-1] < id {
+		t.posts[o] = append(p, id)
+	} else {
+		i, found := slices.BinarySearch(p, id)
+		if found {
+			return
+		}
+		np := make([]int64, len(p)+1)
+		copy(np, p[:i])
+		np[i] = id
+		copy(np[i+1:], p[i:])
+		t.posts[o] = np
+	}
+	t.postings.Add(1)
+}
+
+// unpost removes id from term o's posting list, always into a copy: a
+// truncated original would let the next append overwrite an element a
+// reader still covers. Caller holds mu.
+func (t *tagStore) unpost(o uint32, id int64) {
+	p := t.posts[o]
+	i, found := slices.BinarySearch(p, id)
+	if !found {
+		return
+	}
+	np := make([]int64, len(p)-1)
+	copy(np, p[:i])
+	copy(np[i:], p[i+1:])
+	t.posts[o] = np
+	t.postings.Add(-1)
+}
+
+// set replaces id's tags (none removes them), keeping its location.
+// Caller holds mu.
+func (t *tagStore) set(id int64, tags map[string]string) {
+	var terms []uint32
+	if len(tags) > 0 {
+		terms = make([]uint32, 0, len(tags))
+		for k, v := range tags {
+			terms = append(terms, t.intern(k, v))
+		}
+		slices.Sort(terms)
+	}
+	var had []uint32
+	part, row := int32(-1), uint32(0)
+	if old := t.entry(id); old != nil {
+		had, part, row = old.terms, old.part, old.row
+	}
+	for _, o := range had {
+		if _, keeps := slices.BinarySearch(terms, o); !keeps {
+			t.unpost(o, id)
+		}
+	}
+	for _, o := range terms {
+		if _, has := slices.BinarySearch(had, o); !has {
+			t.post(o, id)
+		}
+	}
+	switch {
+	case len(had) == 0 && len(terms) > 0:
+		t.tagged.Add(1)
+	case len(had) > 0 && len(terms) == 0:
+		t.tagged.Add(-1)
+	}
+	t.put(id, terms, part, row)
+}
+
+// placeRows records the rows partition part holds now. An ID the locator
+// already places in another partition stays there: a rebuilt partition
+// still carries the stale row of a vector re-upserted elsewhere. Rows
+// ascend, so of two rows with one ID in the same partition the later —
+// newer — one wins. Caller holds mu.
+func (t *tagStore) placeRows(part int, l index.Local) {
+	ds := l.Rows()
+	for row := 0; row < ds.Len(); row++ {
+		id := ds.ID(row)
+		if old := t.entry(id); old == nil || old.part < 0 || int(old.part) == part {
+			t.place(id, old, part, row)
+		}
 	}
 }
 
-// delete removes id's tags.
-func (t *tagStore) delete(id int64) {
-	if _, loaded := t.m.LoadAndDelete(id); loaded {
-		t.n.Add(-1)
+// place publishes id's entry with a new location, keeping the tags of
+// old, its current entry (nil for none). Caller holds mu.
+func (t *tagStore) place(id int64, old *idEntry, part, row int) {
+	var terms []uint32
+	if old != nil {
+		terms = old.terms
+	}
+	t.put(id, terms, int32(part), uint32(row))
+}
+
+// forget drops ids that left the index for good: tags, postings and
+// location. Caller holds mu.
+func (t *tagStore) forget(ids []int64) {
+	for _, id := range ids {
+		t.set(id, nil)
+		t.ids.Delete(id)
 	}
 }
 
-// len returns the number of tagged IDs.
-func (t *tagStore) len() int { return int(t.n.Load()) }
+// added places the row an insert of id into partition part's graph just
+// appended: the last row carrying the ID.
+func (t *tagStore) added(part int, g *hnsw.Graph, id int64) {
+	if !t.located.Load() {
+		return
+	}
+	ds := g.DataSnapshot()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for row := ds.Len() - 1; row >= 0; row-- {
+		if ds.ID(row) == id {
+			t.place(id, t.entry(id), part, row)
+			return
+		}
+	}
+}
 
-// snapshot copies the outer map; the inner maps are immutable and
-// shared.
-func (t *tagStore) snapshot() map[int64]map[string]string {
-	out := make(map[int64]map[string]string, t.len())
-	t.m.Range(func(k, v any) bool {
-		out[k.(int64)] = v.(map[string]string)
+// swapped follows a partition swap: the folded IDs are gone and every
+// surviving row of the partition has a new number.
+func (t *tagStore) swapped(part int, l index.Local, folded []int64) {
+	if !t.located.Load() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.forget(folded)
+	t.placeRows(part, l)
+}
+
+// rebuilt follows Engine.Rebuild: the dead IDs are gone and every row
+// of every partition moved.
+func (t *tagStore) rebuilt(parts []index.Local, dead []int64) {
+	if !t.located.Load() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.forget(dead)
+	t.ids.Range(func(k, v any) bool {
+		t.put(k.(int64), v.(*idEntry).terms, -1, 0)
+		return true
+	})
+	for p, l := range parts {
+		t.placeRows(p, l)
+	}
+}
+
+// tagsOf rebuilds the tag map e stands for. Caller holds mu (read).
+func (t *tagStore) tagsOf(e *idEntry) map[string]string {
+	m := make(map[string]string, len(e.terms))
+	for _, o := range e.terms {
+		m[t.names[o].key] = t.names[o].val
+	}
+	return m
+}
+
+// tagFilter is a filter expression compiled against the term table: per
+// conjunct the ordinals of the values some ID carries, plus the posting
+// lists of the conjunct with the fewest candidates. It describes the
+// store as of the compile — a value no ID carried then has no ordinal
+// in it.
+type tagFilter struct {
+	t *tagStore
+	// ords holds every conjunct's ordinals back to back, each run
+	// sorted; ends[i] is where conjunct i's run stops.
+	ords []uint32
+	ends []int
+	// posts are the posting lists of the smallest conjunct as published
+	// at the compile and count their summed length: every ID matching
+	// the filter then is among them, so count bounds the matches from
+	// above (zero when a conjunct names only unknown terms).
+	posts [][]int64
+	count int
+}
+
+// compile resolves f against the term table into tf, reusing tf's
+// slices. f must not be empty.
+func (t *tagStore) compile(f *filter.Expr, tf *tagFilter) {
+	tf.t, tf.ords, tf.ends, tf.posts = t, tf.ords[:0], tf.ends[:0], tf.posts[:0]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	lo, hi := 0, 0 // the smallest conjunct's run in ords
+	for i := 0; i < f.Len(); i++ {
+		term := f.Term(i)
+		start, n := len(tf.ords), 0
+		for _, v := range term.Values {
+			if o, ok := t.ord[tagTerm{term.Key, v}]; ok {
+				tf.ords = append(tf.ords, o)
+				n += len(t.posts[o])
+			}
+		}
+		slices.Sort(tf.ords[start:])
+		tf.ends = append(tf.ends, len(tf.ords))
+		if i == 0 || n < tf.count {
+			tf.count, lo, hi = n, start, len(tf.ords)
+		}
+	}
+	for _, o := range tf.ords[lo:hi] {
+		tf.posts = append(tf.posts, t.posts[o])
+	}
+}
+
+// match reports whether id's current tags satisfy the filter. It takes
+// no lock and is safe for concurrent use.
+func (tf *tagFilter) match(id int64) bool {
+	e := tf.t.entry(id)
+	return e != nil && tf.matchTerms(e.terms)
+}
+
+// matchTerms reports whether every conjunct has one of its ordinals in
+// the sorted list terms.
+func (tf *tagFilter) matchTerms(terms []uint32) bool {
+	lo := 0
+	for _, hi := range tf.ends {
+		if !intersects(terms, tf.ords[lo:hi]) {
+			return false
+		}
+		lo = hi
+	}
+	return true
+}
+
+// intersects reports whether two sorted lists share an element.
+func intersects(a, b []uint32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// locate makes the per-ID entries carry locations, from the rows the
+// partitions hold now. The flag goes up before the rows are read so an
+// insert that misses the flag has already appended its row — the scan
+// below sees it — and one that sees the flag places its row itself once
+// mu is free. Where two partitions hold a row with the same ID the
+// lower-numbered one wins; until a new upsert says otherwise the locator
+// cannot know which is newer (neither can the beam, which reports
+// whichever scores lower). Caller holds t.mu.
+func (e *Engine) locate() {
+	e.tags.located.Store(true)
+	_, parts := e.view()
+	for p, l := range parts {
+		e.tags.placeRows(p, l)
+	}
+}
+
+// SetTags attaches metadata tags to a global ID (replacing any previous
+// tags); nil or empty tags remove the entry. The map is not retained.
+// Safe for concurrent use with searches. Tags may be set before the ID
+// has a vector; it starts matching filtered searches once it does.
+func (e *Engine) SetTags(id int64, tags map[string]string) {
+	t := e.tags
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.located.Load() {
+		if len(tags) == 0 {
+			return // nothing tagged yet, nothing to remove
+		}
+		e.locate()
+	}
+	t.set(id, tags)
+}
+
+// Tags returns id's tags as a fresh map, or nil when untagged.
+func (e *Engine) Tags(id int64) map[string]string {
+	t := e.tags
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if ent := t.entry(id); ent != nil && len(ent.terms) > 0 {
+		return t.tagsOf(ent)
+	}
+	return nil
+}
+
+// TagCount returns the number of IDs carrying tags.
+func (e *Engine) TagCount() int { return int(e.tags.tagged.Load()) }
+
+// TagsSnapshot returns a point-in-time copy of all tags, rebuilt from
+// the term lists; the durability layer persists it alongside each
+// snapshot. Tag writes wait while it is taken.
+func (e *Engine) TagsSnapshot() map[int64]map[string]string {
+	t := e.tags
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[int64]map[string]string, t.tagged.Load())
+	t.ids.Range(func(k, v any) bool {
+		if ent := v.(*idEntry); len(ent.terms) > 0 {
+			out[k.(int64)] = t.tagsOf(ent)
+		}
 		return true
 	})
 	return out
 }
 
-// SetTags attaches metadata tags to a global ID (replacing any previous
-// tags); nil or empty tags remove the entry. The map is copied. Safe
-// for concurrent use with searches.
-func (e *Engine) SetTags(id int64, tags map[string]string) {
-	e.tags.set(id, tags)
-}
-
-// Tags returns a copy of id's tags, or nil when untagged.
-func (e *Engine) Tags(id int64) map[string]string {
-	m := e.tags.get(id)
-	if m == nil {
-		return nil
-	}
-	cp := make(map[string]string, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
-
-// TagCount returns the number of IDs carrying tags.
-func (e *Engine) TagCount() int { return e.tags.len() }
-
-// TagsSnapshot returns a point-in-time view of all tags. The inner maps
-// are shared and must not be mutated; the durability layer persists
-// this alongside each snapshot.
-func (e *Engine) TagsSnapshot() map[int64]map[string]string {
-	return e.tags.snapshot()
-}
-
 // RestoreTags replaces the whole tag store — the recovery half of
 // TagsSnapshot, called after LoadEngine before WAL tail replay. The
-// store is cleared in place (the tags pointer is never reassigned) so
-// it stays safe against concurrent readers.
+// store is emptied in place (the tags pointer is never reassigned) so
+// it stays safe against concurrent readers, and refilled in ascending
+// ID order, which is the order posting lists append in.
 func (e *Engine) RestoreTags(tags map[int64]map[string]string) {
-	e.tags.m.Range(func(k, _ any) bool {
-		e.tags.delete(k.(int64))
+	t := e.tags
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ids.Range(func(k, _ any) bool {
+		t.ids.Delete(k)
 		return true
 	})
-	for id, m := range tags {
-		e.tags.set(id, m)
+	t.ord, t.names, t.posts = nil, nil, nil
+	t.tagged.Store(0)
+	t.postings.Store(0)
+	t.located.Store(false)
+	if len(tags) == 0 {
+		return
+	}
+	e.locate()
+	ids := make([]int64, 0, len(tags))
+	for id := range tags {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		t.set(id, tags[id])
+	}
+}
+
+// TagsDump writes the canonical rendering of the tag store: every term
+// that has postings with its IDs, sorted by key then value, then every
+// tagged ID with its terms. It does not depend on the order tags were
+// set in (term ordinals do), so crash-recovery tests compare it byte for
+// byte, as they do LexicalDump.
+func (e *Engine) TagsDump(w io.Writer) error {
+	t := e.tags
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	bw := bufio.NewWriter(w)
+	ords := make([]uint32, 0, len(t.names))
+	for o := range t.names {
+		if len(t.posts[o]) > 0 {
+			ords = append(ords, uint32(o))
+		}
+	}
+	byTerm := func(a, b uint32) int {
+		return cmp.Or(cmp.Compare(t.names[a].key, t.names[b].key), cmp.Compare(t.names[a].val, t.names[b].val))
+	}
+	slices.SortFunc(ords, byTerm)
+	for _, o := range ords {
+		fmt.Fprintf(bw, "%q=%q\t%v\n", t.names[o].key, t.names[o].val, t.posts[o])
+	}
+	var ids []int64
+	t.ids.Range(func(k, v any) bool {
+		if len(v.(*idEntry).terms) > 0 {
+			ids = append(ids, k.(int64))
+		}
+		return true
+	})
+	slices.Sort(ids)
+	for _, id := range ids {
+		terms := slices.Clone(t.entry(id).terms)
+		slices.SortFunc(terms, byTerm)
+		fmt.Fprintf(bw, "%d", id)
+		for _, o := range terms {
+			fmt.Fprintf(bw, "\t%q=%q", t.names[o].key, t.names[o].val)
+		}
+		fmt.Fprintln(bw)
+	}
+	return bw.Flush()
+}
+
+// TagStats are the tag store's sizes and the filter planner's decision
+// counters, for /varz.
+type TagStats struct {
+	Terms    int   // distinct key=value pairs interned
+	Postings int64 // entries across all posting lists
+	// Scans and Beams count filtered searches answered by scoring the
+	// candidate rows exactly and by the graph beam; Candidates sums the
+	// candidate counts the decisions were made on.
+	Scans, Beams, Candidates int64
+}
+
+// TagStats snapshots the tag store and planner counters.
+func (e *Engine) TagStats() TagStats {
+	t := e.tags
+	t.mu.RLock()
+	terms := len(t.names)
+	t.mu.RUnlock()
+	return TagStats{
+		Terms:      terms,
+		Postings:   t.postings.Load(),
+		Scans:      e.plan.scans.Load(),
+		Beams:      e.plan.beams.Load(),
+		Candidates: e.plan.candidates.Load(),
 	}
 }

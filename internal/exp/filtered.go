@@ -18,9 +18,11 @@ import (
 // strategies against exact filtered ground truth (brute force restricted
 // to matching IDs):
 //
-//   - pushdown: the predicate rides inside the graph traversal
-//     (Engine.SearchFiltered), so exploration continues through
-//     non-matching candidates and the collector only admits matches;
+//   - pushdown (the column keeps its name): Engine.SearchFiltered. Above
+//     the filter planner's cut-over the predicate rides inside the
+//     graph traversal, so exploration continues through non-matching
+//     candidates and the collector only admits matches; below it the
+//     matching rows are scored exactly from the tag postings;
 //   - post-filter: the unfiltered search runs as usual and non-matching
 //     hits are dropped afterwards — the naive baseline, which at low
 //     selectivity returns far fewer than k valid hits.

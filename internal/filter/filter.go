@@ -116,6 +116,18 @@ func (e *Expr) Matches(tags map[string]string) bool {
 // Empty reports whether the expression constrains nothing.
 func (e *Expr) Empty() bool { return e == nil || len(e.terms) == 0 }
 
+// Len returns the number of conjuncts.
+func (e *Expr) Len() int {
+	if e == nil {
+		return 0
+	}
+	return len(e.terms)
+}
+
+// Term returns conjunct i in canonical order without copying it; its
+// Values are shared with the expression and must not be modified.
+func (e *Expr) Term(i int) Term { return e.terms[i] }
+
 // Terms returns a copy of the conjuncts in canonical order.
 func (e *Expr) Terms() []Term {
 	if e == nil {

@@ -320,8 +320,16 @@ func (g *Graph) AddAtLevel(v []float32, id int64, level int) (Stats, error) {
 	// Greedy descent with ef=1 through layers above the node's level.
 	cur := w.descend(s.entry, s.maxL, level)
 
-	// Beam search and linking on layers min(level,maxL)..0.
-	for l := min(level, s.maxL); l >= 0; l-- {
+	// Beam search and forward links on layers min(level,maxL)..0. The
+	// back-links, which are what make the node reachable, wait until
+	// every layer has its forward links: a search that descended onto
+	// the node through an upper layer would otherwise start its layer-0
+	// beam on a node with no layer-0 neighbors yet and return it alone.
+	// Serial inserts build the same graph either way — a back-link on
+	// layer l changes only layer-l lists, which no lower beam reads.
+	top := min(level, s.maxL)
+	selected := make([][]uint32, top+1)
+	for l := top; l >= 0; l-- {
 		cands := w.beam(cur, g.cfg.EfConstruction, l)
 		// Drop self if discovered through a concurrent back-link.
 		for i, c := range cands {
@@ -330,15 +338,17 @@ func (g *Graph) AddAtLevel(v []float32, id int64, level int) (Stats, error) {
 				break
 			}
 		}
-		selected := g.selectNeighbors(&s, q, cands, g.cfg.M, &st)
+		selected[l] = g.selectNeighbors(&s, q, cands, g.cfg.M, &st)
 		n.mu.Lock()
-		n.links[l] = append(n.links[l][:0], selected...)
+		n.links[l] = append(n.links[l][:0], selected[l]...)
 		n.mu.Unlock()
-		for _, nb := range selected {
-			g.linkBack(&s, nb, idx, l, &st)
-		}
 		if len(cands) > 0 {
 			cur = cands[0].id
+		}
+	}
+	for l := top; l >= 0; l-- {
+		for _, nb := range selected[l] {
+			g.linkBack(&s, nb, idx, l, &st)
 		}
 	}
 

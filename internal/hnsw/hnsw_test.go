@@ -208,6 +208,60 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 }
 
+// TestSearchDuringInsertSeesLinkedNodes: a search that runs while a node
+// is being inserted near its query must still return the query's
+// nearest neighbors. The insert links the node layer by layer from the
+// top; were it reachable on an upper layer before its layer-0 links
+// exist, a descent landing on it would beam from a dead end and return
+// the new node alone.
+func TestSearchDuringInsertSeesLinkedNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ds := clusteredData(rng, 1500, 12, 4)
+	g, _, err := Build(ds, DefaultConfig(vec.L2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.At(3)
+	pinned := bruteKNN(ds, q, 3)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rs, _, err := g.Search(q, 8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if recallOf(rs, pinned) != 1 {
+					t.Errorf("search during an insert returned %v, without %v", rs, pinned)
+					return
+				}
+			}
+		}()
+	}
+	// Upper-layer nodes right at the query are where descents land.
+	v := make([]float32, ds.Dim)
+	for i := 0; i < 300 && !t.Failed(); i++ {
+		for j := range v {
+			v[j] = q[j] + 2 + float32(rng.NormFloat64())*0.1
+		}
+		if _, err := g.AddAtLevel(v, int64(10000+i), 1+i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	for w := 0; w < 3; w++ {
+		<-done
+	}
+}
+
 func TestDegreeBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := clusteredData(rng, 1500, 16, 3)

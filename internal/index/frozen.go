@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hnsw"
 	"repro/internal/topk"
+	"repro/internal/vec"
 )
 
 // frozenLocal serves a partition from a flat frozen layout (contiguous
@@ -188,8 +189,9 @@ func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) 
 	return rs, st, nil
 }
 
-func (l *frozenLocal) Len() int     { return l.g.Len() }
-func (l *frozenLocal) Kind() string { return "hnsw-frozen" }
+func (l *frozenLocal) Rows() *vec.Dataset { return l.g.DataSnapshot() }
+func (l *frozenLocal) Len() int           { return l.g.Len() }
+func (l *frozenLocal) Kind() string       { return "hnsw-frozen" }
 
 // Graph exposes the dynamic graph under the frozen view (save,
 // compaction, and ingestion paths).

@@ -100,7 +100,7 @@ func TestFrozenLocalTailMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, st, err = fl.(FilteredSearcher).SearchFiltered(probe, 3, keep)
+	rs, st, err = fl.SearchFiltered(probe, 3, keep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,13 @@
 //
 // The single-process engine accepts any of them via Config.LocalIndex;
 // the ablate-local experiment compares them under identical routing.
-// Every engine search path — plain top-k, filter pushdown
-// (FilteredSearcher), and the vector leg of hybrid retrieval
-// (DESIGN §11) — goes through this abstraction, so swapping the local
-// index never changes which query shapes a deployment can serve.
+// Every engine search path — plain top-k, filtered search and the vector
+// leg of hybrid retrieval (DESIGN §11) — goes through this abstraction,
+// so swapping the local index never changes which query shapes a
+// deployment can serve. Every Local answers a filtered search itself:
+// the HNSW-backed ones push the predicate into the beam, the exact ones
+// scan their matching rows, so a filter never shortens a result list
+// that has k matching points to fill it.
 package index
 
 import (
@@ -44,6 +47,15 @@ type Stats struct {
 type Local interface {
 	// Search returns up to k nearest neighbors of q with global IDs.
 	Search(q []float32, k int) ([]topk.Result, Stats, error)
+	// SearchFiltered returns up to k nearest neighbors whose global ID
+	// satisfies keep, evaluating the predicate while it searches, not on
+	// a finished top-k. A nil keep is Search. keep must be safe for
+	// concurrent use when the index is searched from several goroutines.
+	SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error)
+	// Rows returns a point-in-time view of the indexed vectors in row
+	// order, safe to read while the index takes inserts. The engine's
+	// candidate scan scores rows out of it; callers must not modify it.
+	Rows() *vec.Dataset
 	// Len returns the number of indexed vectors.
 	Len() int
 	// Kind returns the registry name of the implementation.
@@ -110,8 +122,9 @@ func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([
 	return rs, Stats{DistComps: st.DistComps, Hops: st.Hops}, err
 }
 
-func (l *hnswLocal) Len() int     { return l.g.Len() }
-func (l *hnswLocal) Kind() string { return "hnsw" }
+func (l *hnswLocal) Rows() *vec.Dataset { return l.g.DataSnapshot() }
+func (l *hnswLocal) Len() int           { return l.g.Len() }
+func (l *hnswLocal) Kind() string       { return "hnsw" }
 
 // Graph exposes the wrapped HNSW graph (for serialization paths that
 // remain HNSW-specific).
@@ -138,14 +151,15 @@ func HNSWGraph(l Local) (*hnsw.Graph, bool) {
 
 type vpLocal struct {
 	t *vptree.Tree
-	n int
+	exactRows
 }
 
 func buildVP(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
-	if ds.Len() == 0 {
-		return &vpLocal{nil, 0}, nil
+	l := &vpLocal{exactRows: exactRows{ds, metric}}
+	if ds.Len() > 0 {
+		l.t = vptree.NewTree(ds, vptree.TreeConfig{Metric: metric})
 	}
-	return &vpLocal{vptree.NewTree(ds, vptree.TreeConfig{Metric: metric}), ds.Len()}, nil
+	return l, nil
 }
 
 func (l *vpLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
@@ -156,24 +170,31 @@ func (l *vpLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 	return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}, nil
 }
 
-func (l *vpLocal) Len() int     { return l.n }
+func (l *vpLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	if keep == nil {
+		return l.Search(q, k)
+	}
+	return l.scan(q, k, keep)
+}
+
 func (l *vpLocal) Kind() string { return "vp" }
 
 // --- exact KD adapter ---
 
 type kdLocal struct {
 	t *kdtree.Tree
-	n int
+	exactRows
 }
 
 func buildKD(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
 	if metric != vec.L2 && metric != vec.SquaredL2 {
 		return nil, fmt.Errorf("index: kd local index supports L2 only, got %v", metric)
 	}
-	if ds.Len() == 0 {
-		return &kdLocal{nil, 0}, nil
+	l := &kdLocal{exactRows: exactRows{ds, metric}}
+	if ds.Len() > 0 {
+		l.t = kdtree.NewTree(ds, kdtree.TreeConfig{})
 	}
-	return &kdLocal{kdtree.NewTree(ds, kdtree.TreeConfig{}), ds.Len()}, nil
+	return l, nil
 }
 
 func (l *kdLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
@@ -184,59 +205,104 @@ func (l *kdLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 	return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}, nil
 }
 
-func (l *kdLocal) Len() int     { return l.n }
+func (l *kdLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	if keep == nil {
+		return l.Search(q, k)
+	}
+	return l.scan(q, k, keep)
+}
+
 func (l *kdLocal) Kind() string { return "kd" }
 
 // --- flat scan adapter ---
 
-type flatLocal struct {
-	ds     *vec.Dataset
-	metric vec.Metric
-}
+type flatLocal struct{ exactRows }
 
 func buildFlat(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
-	return &flatLocal{ds: ds, metric: metric}, nil
+	return &flatLocal{exactRows{ds, metric}}, nil
 }
 
 func (l *flatLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return l.SearchFiltered(q, k, nil)
+	return l.scan(q, k, nil)
 }
 
 // SearchFiltered on the flat local is exact brute force over matching
 // rows; the engine's test suite uses it as filtered ground truth.
 func (l *flatLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	rs, scored := scanRows(l.ds, 0, q, k, l.metric, keep)
+	return l.scan(q, k, keep)
+}
+
+func (l *flatLocal) Kind() string { return "flat" }
+
+// exactRows is what the exact locals share: the dataset they were built
+// over, kept so a filtered search scans the matching rows (exact at
+// every selectivity) where the tree could only truncate an unfiltered
+// top-k.
+type exactRows struct {
+	ds     *vec.Dataset
+	metric vec.Metric
+}
+
+func (r exactRows) Rows() *vec.Dataset { return r.ds }
+func (r exactRows) Len() int           { return r.ds.Len() }
+
+func (r exactRows) scan(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+	rs, scored := scanRows(r.ds, 0, q, k, r.metric, keep)
 	return rs, Stats{DistComps: int64(scored)}, nil
 }
 
-func (l *flatLocal) Len() int     { return l.ds.Len() }
-func (l *flatLocal) Kind() string { return "flat" }
+// Scan scores dataset rows exactly against one query into a k-bounded
+// heap. It is the one brute-force loop: the flat local, the frozen tail
+// and the exact locals' filtered search feed it a row range through
+// scanRows, the engine's filter planner feeds it the rows its
+// candidates resolve to, across partitions.
+type Scan struct {
+	q      []float32
+	dist   vec.DistFunc
+	sqrtL  bool
+	col    *topk.Collector
+	scored int
+}
 
-// scanRows brute-force scans rows [from, ds.Len()) admitted by keep
-// (nil admits every row) and returns the k nearest, with distances in
-// the user metric (true L2, not squared) so merges compare like with
-// like, plus the number of rows it scored.
-func scanRows(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, keep func(int64) bool) ([]topk.Result, int) {
-	dist := metric.Func()
-	sqrtL := metric == vec.L2
-	if sqrtL {
-		dist = vec.SquaredL2Distance
+// NewScan starts a scan for the k nearest rows to q under metric.
+func NewScan(q []float32, k int, metric vec.Metric) *Scan {
+	s := &Scan{q: q, dist: metric.Func(), sqrtL: metric == vec.L2, col: topk.New(k)}
+	if s.sqrtL {
+		s.dist = vec.SquaredL2Distance
 	}
-	col := topk.New(k)
-	scored := 0
-	for i := from; i < ds.Len(); i++ {
-		if keep == nil || keep(ds.ID(i)) {
-			col.Push(ds.ID(i), dist(q, ds.At(i)))
-			scored++
-		}
-	}
-	rs := col.Results()
-	if sqrtL {
+	return s
+}
+
+// Row scores row i of ds.
+func (s *Scan) Row(ds *vec.Dataset, i int) {
+	s.col.Push(ds.ID(i), s.dist(s.q, ds.At(i)))
+	s.scored++
+}
+
+// Results returns the k nearest rows scored so far, nearest first, and
+// how many were scored. Distances are in the user metric (true L2, not
+// squared) — the units the graph searches report — so merges compare
+// like with like.
+func (s *Scan) Results() ([]topk.Result, int) {
+	rs := s.col.Results()
+	if s.sqrtL {
 		for i := range rs {
 			rs[i].Dist = sqrt32(rs[i].Dist)
 		}
 	}
-	return rs, scored
+	return rs, s.scored
+}
+
+// scanRows scans rows [from, ds.Len()) admitted by keep (nil admits
+// every row).
+func scanRows(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, keep func(int64) bool) ([]topk.Result, int) {
+	s := NewScan(q, k, metric)
+	for i := from; i < ds.Len(); i++ {
+		if keep == nil || keep(ds.ID(i)) {
+			s.Row(ds, i)
+		}
+	}
+	return s.Results()
 }
 
 func sqrt32(x float32) float32 {

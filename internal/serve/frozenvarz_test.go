@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/hnsw"
 )
 
@@ -63,5 +64,36 @@ func TestVarzLexicalWork(t *testing.T) {
 	lz := b.Varz()["lexical"].(map[string]any)
 	if lz["searches"].(int64) != 2 || lz["postings_scanned"].(int64) != 50 {
 		t.Fatalf("lexical varz: %v", lz)
+	}
+}
+
+// TestVarzFilterPlanner: the engine section says what the tag store
+// holds and, per decision, what the filter planner did with it — the
+// numbers behind "why was this filtered query slow".
+func TestVarzFilterPlanner(t *testing.T) {
+	e := testEngine(t) // 400 points, 4 partitions, nprobe 2
+	b := &EngineBackend{Engine: e}
+	ez := b.Varz()["engine"].(map[string]any)
+	if ez["tag_terms"].(int) != 0 || ez["tag_postings"].(int64) != 0 || ez["filtered_scans"].(int64) != 0 {
+		t.Fatalf("untagged engine varz: %v", ez)
+	}
+	for id := int64(0); id < 400; id++ {
+		tags := map[string]string{"all": "1"}
+		if id%50 == 0 {
+			tags["rare"] = "1"
+		}
+		e.SetTags(id, tags)
+	}
+	q := make([]float32, 8)
+	for _, expr := range []string{"rare=1", "rare=1", "all=1"} {
+		if _, err := e.SearchFiltered(q, 5, filter.MustParse(expr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ez = b.Varz()["engine"].(map[string]any)
+	if ez["tag_terms"].(int) != 2 || ez["tag_postings"].(int64) != 408 ||
+		ez["filtered_scans"].(int64) != 2 || ez["filtered_beams"].(int64) != 1 ||
+		ez["filtered_candidates"].(int64) != 8+8+400 {
+		t.Fatalf("engine varz: %v", ez)
 	}
 }

@@ -221,15 +221,15 @@ func (b *EngineBackend) WriteFailed() error {
 // Varz implements VarzProvider: engine occupancy plus, when durable,
 // the store's WAL/compaction counters under "ingest".
 func (b *EngineBackend) Varz() map[string]any {
-	m := map[string]any{
-		"engine": map[string]any{
-			"points":     b.Engine.Len(),
-			"partitions": b.Engine.Partitions(),
-			"inserted":   b.Engine.Inserted(),
-			"tombstones": b.Engine.Tombstones(),
-			"local":      b.Engine.LocalKind(),
-		},
+	engine := map[string]any{
+		"points":     b.Engine.Len(),
+		"partitions": b.Engine.Partitions(),
+		"inserted":   b.Engine.Inserted(),
+		"tombstones": b.Engine.Tombstones(),
+		"local":      b.Engine.LocalKind(),
 	}
+	collection.TagVarz(engine, b.Engine)
+	m := map[string]any{"engine": engine}
 	if b.Store != nil {
 		m["ingest"] = b.Store.Stats()
 	}

@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair bench-filter fuzz-smoke clean
+.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair bench-filter fuzz-smoke loc clean
 
 all: build
 
@@ -98,15 +98,25 @@ bench-filter:
 # with exact-length framing and a byte-stable re-encode, and what it
 # refuses never reaches the log), the SQ8 codec (non-finite rejection, round-trip bounds),
 # the filter expression parser (no panic, canonical-form fixed point,
-# reparse equivalence), and the lexical tokenizer (no panic,
-# deterministic, only lowercased alphanumeric terms). CI runs this on
-# every push; run without -fuzztime locally to dig deeper.
+# reparse equivalence), the lexical tokenizer (no panic,
+# deterministic, only lowercased alphanumeric terms), and the gateway's
+# one request-body decoder (per operation: accepts exactly what
+# encoding/json accepts into the same request struct, with an equal
+# struct; a rejected body is a typed 400/413 counted once). CI runs this
+# on every push; run without -fuzztime locally to dig deeper.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzTextRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSQ8Codec -fuzztime=10s -run '^$$' ./internal/vec
 	$(GO) test -fuzz=FuzzFilterParse -fuzztime=10s -run '^$$' ./internal/filter
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=10s -run '^$$' ./internal/lexical
+	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run '^$$' ./internal/serve
+
+# Code lines per package (non-blank, non-comment, non-test Go): the
+# number a simplicity PR reports before and after. `make loc` lists
+# every package; scripts/loc.sh <dir>... counts the ones named.
+loc:
+	@bash scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -237,17 +237,9 @@ func (c *Collection) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.
 	return c.Engine().SearchFiltered(q, k, f)
 }
 
-// SearchBatch answers a query batch (one admission for the whole batch:
-// the quota bounds concurrent requests, not queries).
-func (c *Collection) SearchBatch(ctx context.Context, queries *vec.Dataset, k, threads int) ([][]topk.Result, error) {
-	if err := c.acquire(); err != nil {
-		return nil, err
-	}
-	defer c.release()
-	return c.Engine().SearchBatchContext(ctx, queries, k, threads)
-}
-
-// SearchBatchFiltered is SearchBatch with a filter pushed down.
+// SearchBatchFiltered answers a query batch under one pushed-down filter
+// (nil for none). One admission for the whole batch: the quota bounds
+// concurrent requests, not queries.
 func (c *Collection) SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr, threads int) ([][]topk.Result, error) {
 	if err := c.acquire(); err != nil {
 		return nil, err
@@ -341,6 +333,41 @@ func TagVarz(m map[string]any, e *core.Engine) {
 	m["filtered_candidates"] = ts.Candidates
 }
 
+// SectionVarz adds the "lexical" section of an engine that indexes text
+// and the "frozen" section of one serving the frozen layout — built once,
+// like TagVarz, so the single-engine gateway and the collections cannot
+// drift apart.
+func SectionVarz(m map[string]any, e *core.Engine, lexical bool) {
+	if lexical {
+		ls := e.LexicalStats()
+		m["lexical"] = map[string]any{
+			"docs":             ls.Docs,
+			"terms":            ls.Terms,
+			"postings_bytes":   ls.PostingsBytes,
+			"avg_doc_len":      ls.AvgDocLen,
+			"searches":         ls.Searches,
+			"postings_scanned": ls.PostingsScanned,
+			"k1":               ls.K1,
+			"b":                ls.B,
+		}
+	}
+	if fi, ok := e.FrozenInfo(); ok {
+		m["frozen"] = map[string]any{
+			"partitions":   fi.Partitions,
+			"points":       fi.FrozenLen,
+			"tail_points":  fi.TailLen,
+			"arena_bytes":  fi.ArenaBytes,
+			"sq8":          fi.Quantized,
+			"searches":     fi.Searches,
+			"quant_scans":  fi.QuantComps,
+			"reranked":     fi.Reranked,
+			"rerank_ratio": fi.RerankRatio(),
+			"tail_scanned": fi.TailScanned,
+			"refreezes":    fi.Refreezes,
+		}
+	}
+}
+
 // Varz returns the collection's observability section for /varz.
 func (c *Collection) Varz() map[string]any {
 	e := c.Engine()
@@ -356,26 +383,13 @@ func (c *Collection) Varz() map[string]any {
 		"draining":   c.draining.Load(),
 	}
 	TagVarz(m, e)
+	SectionVarz(m, e, c.cfg.Lexical)
 	if c.cfg.MaxInflight > 0 {
 		m["max_inflight"] = c.cfg.MaxInflight
 	}
-	if c.cfg.Lexical {
-		ls := e.LexicalStats()
-		m["lexical"] = map[string]any{
-			"docs":            ls.Docs,
-			"terms":           ls.Terms,
-			"postings_bytes":  ls.PostingsBytes,
-			"avg_doc_len":     ls.AvgDocLen,
-			"k1":              ls.K1,
-			"b":               ls.B,
-			"hybrid_rrf":      c.hybridRRF.Load(),
-			"hybrid_weighted": c.hybridWeighted.Load(),
-		}
-	}
-	if fi, ok := e.FrozenInfo(); ok {
-		m["frozen"] = map[string]any{
-			"points": fi.FrozenLen, "tail_points": fi.TailLen, "sq8": fi.Quantized,
-		}
+	if lex, ok := m["lexical"].(map[string]any); ok {
+		lex["hybrid_rrf"] = c.hybridRRF.Load()
+		lex["hybrid_weighted"] = c.hybridWeighted.Load()
 	}
 	m["ingest"] = c.dur.Stats()
 	return m

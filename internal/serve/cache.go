@@ -55,6 +55,9 @@ type lru[V any] struct {
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[uint64]*list.Element
+	// gen counts purges. A row computed from a search that began under an
+	// older generation may predate the write that purged, so put drops it.
+	gen uint64
 }
 
 type lruEntry[V any] struct {
@@ -68,27 +71,31 @@ func newLRU[V any](capacity int) *lru[V] {
 	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[uint64]*list.Element)}
 }
 
-// get returns a cached row and refreshes its recency.
-func (c *lru[V]) get(key uint64) (V, bool) {
+// get returns a cached row and refreshes its recency. On a miss the
+// caller searches and hands the generation it got here back to put.
+func (c *lru[V]) get(key uint64) (val V, gen uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		var zero V
-		return zero, false
+		return val, c.gen, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
+	return el.Value.(*lruEntry[V]).val, c.gen, true
 }
 
-// put stores a row, evicting the least recently used entry past
-// capacity.
-func (c *lru[V]) put(key uint64, val V) {
+// put stores a row looked up (and missed) under generation gen, evicting
+// the least recently used entry past capacity. A purge since then drops
+// the row instead: the write it stands for may be newer than the search.
+func (c *lru[V]) put(key uint64, val V, gen uint64) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry[V]).val = val
 		c.ll.MoveToFront(el)
@@ -102,13 +109,19 @@ func (c *lru[V]) put(key uint64, val V) {
 	}
 }
 
-// purge drops every cached entry. Mutations call it: any cached row may
-// now contain a deleted ID or miss a fresh insert.
+// purge drops every cached entry and starts a new generation. Mutations
+// call it: any cached row may now contain a deleted ID or miss a fresh
+// insert, and so may any row still being computed.
 func (c *lru[V]) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.purgeLocked()
+}
+
+func (c *lru[V]) purgeLocked() {
 	c.ll.Init()
-	c.items = make(map[uint64]*list.Element)
+	clear(c.items)
+	c.gen++
 }
 
 // Len reports the number of cached entries.
@@ -119,9 +132,7 @@ func (c *lru[V]) Len() int {
 }
 
 // resultCache is the search LRU plus a single-flight table of
-// in-progress searches (capacity <= 0 still dedups). A purge leaves
-// flights alone — they resolve against whichever engine state their
-// batch ran on, which is always a valid snapshot.
+// in-progress searches (capacity <= 0 still dedups).
 type resultCache struct {
 	*lru[[]topk.Result]
 	flights map[uint64]*flight
@@ -145,18 +156,33 @@ func (c *resultCache) startFlight(key uint64) (f *flight, leader bool) {
 	return f, true
 }
 
+// purge also unhooks the searches in flight: they may have read the
+// engine before the write, so a query arriving from now on leads a fresh
+// search instead of joining one. Those already waiting keep their
+// flight — they arrived before the write was acknowledged, and its
+// answer is a valid snapshot for them.
+func (c *resultCache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.purgeLocked()
+	clear(c.flights)
+}
+
 // finishFlight publishes the leader's outcome to all waiters and, on
-// success, stores the row in the LRU. Degraded rows are never stored:
-// they are missing neighbors from failed partitions, and serving them
-// after the cluster recovers would silently pin the outage's results.
-func (c *resultCache) finishFlight(key uint64, f *flight, res []topk.Result, meta BatchMeta, err error) {
+// success, stores the row in the LRU under the generation the leader's
+// lookup missed in. Degraded rows are never stored: they are missing
+// neighbors from failed partitions, and serving them after the cluster
+// recovers would silently pin the outage's results.
+func (c *resultCache) finishFlight(key uint64, f *flight, gen uint64, res []topk.Result, meta BatchMeta, err error) {
 	f.res, f.meta, f.err = res, meta, err
 	c.mu.Lock()
-	delete(c.flights, key)
+	if c.flights[key] == f { // a purge may have unhooked it, and a newer one taken the key
+		delete(c.flights, key)
+	}
 	c.mu.Unlock()
 	close(f.done)
 	if err == nil && !meta.Degraded {
-		c.put(key, res)
+		c.put(key, res, gen)
 	}
 }
 

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
 	"net/http"
 
 	"repro/internal/collection"
@@ -31,101 +29,53 @@ type createCollectionRequest struct {
 }
 
 func (s *Server) handleColList(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.RUnlock()
-	infos := make([]collectionInfo, 0, len(ts))
-	for _, t := range ts {
-		info := collectionInfo{Name: t.name, Dim: t.backend.Dim()}
-		if t.col != nil {
-			cfg := t.col.Config()
-			info.Metric = cfg.Metric
-			info.Frozen = cfg.Frozen
-			info.Points = t.col.Engine().Len()
-		}
-		infos = append(infos, info)
-	}
-	// Stable order for scripts and tests.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].Name < infos[j-1].Name; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
+	infos := []collectionInfo{} // never null in the body
+	for _, t := range s.snapshot() {
+		infos = append(infos, t.info())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"collections": infos})
 }
 
-func (s *Server) handleColCreate(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, http.StatusNotImplemented, codeNotImplemented,
-			"this gateway serves a fixed backend; collection management needs -collections mode")
-		return
-	}
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, ErrDraining.Error())
-		return
-	}
-	var req createCollectionRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-		return
-	}
+// createCollection is the create row.
+func (c *call) createCollection(req *createCollectionRequest) (any, error) {
+	s := c.s
 	col, err := s.reg.Create(req.Name, req.Config)
 	if err != nil {
-		switch {
-		case errors.Is(err, collection.ErrExists):
-			writeError(w, http.StatusConflict, codeCollectionExists, err.Error())
-		case errors.Is(err, collection.ErrBadName):
-			writeError(w, http.StatusBadRequest, codeBadName, err.Error())
-		case errors.Is(err, collection.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, codeDraining, err.Error())
-		default:
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		if rankOf(err) == len(statusTable) {
+			// What Create refuses under no sentinel is the request's config:
+			// no dim, an unknown metric, sq8 without frozen.
+			return nil, badRequest(codeBadRequest, err.Error())
 		}
-		return
+		return nil, err
 	}
 	t := s.newTenant(req.Name, &CollectionBackend{Col: col, Threads: s.cfg.Threads}, col)
 	s.mu.Lock()
 	s.tenants[req.Name] = t
 	s.mu.Unlock()
-	cfg := col.Config()
-	writeJSON(w, http.StatusCreated, collectionInfo{
-		Name: req.Name, Dim: cfg.Dim, Metric: cfg.Metric, Frozen: cfg.Frozen,
-	})
+	c.status = http.StatusCreated
+	return t.info(), nil
 }
 
-func (s *Server) handleColDrop(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeError(w, http.StatusNotImplemented, codeNotImplemented,
-			"this gateway serves a fixed backend; collection management needs -collections mode")
-		return
-	}
-	name := r.PathValue("name")
+// dropCollection is the drop row; it reads no body.
+func (c *call) dropCollection(*struct{}) (any, error) {
+	s, t := c.s, c.t
 	s.mu.Lock()
-	t, ok := s.tenants[name]
-	if ok {
-		delete(s.tenants, name)
+	won := s.tenants[t.name] == t // of two racing drops one unregisters it
+	if won {
+		delete(s.tenants, t.name)
 	}
 	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, codeUnknownCollection, "unknown collection "+name)
-		return
+	if !won {
+		return nil, unknownCollection(t.name)
 	}
 	// Unregistered first: new requests 404 immediately, then the
 	// tenant's queued work finishes, then the registry drains the
 	// collection's own in-flight admissions and deletes its files.
-	if err := t.batcher.Drain(r.Context()); err != nil {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, "drop interrupted: "+err.Error())
-		return
+	if err := t.batcher.Drain(c.r.Context()); err != nil {
+		return nil, &apiError{http.StatusServiceUnavailable, codeDraining, "drop interrupted: " + err.Error()}
 	}
-	if err := s.reg.Drop(r.Context(), name); err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
+	if err := s.reg.Drop(c.r.Context(), t.name); err != nil {
+		return nil, &apiError{http.StatusInternalServerError, codeInternal, err.Error()}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
+	return map[string]any{"dropped": t.name}, nil
 }

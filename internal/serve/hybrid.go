@@ -1,17 +1,13 @@
 package serve
 
 import (
-	"context"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"net/http"
 	"time"
 
-	"repro/internal/collection"
 	"repro/internal/core"
 	"repro/internal/filter"
 )
@@ -96,87 +92,33 @@ func hybridCacheKey(tenant, canon, text string, q []float32, k int, fusion strin
 	return h.Sum64()
 }
 
-func (s *Server) handleHybrid(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, DefaultCollection)
-	if !ok {
-		return
-	}
-	s.hybridTenant(t, w, r)
-}
-
-func (s *Server) handleColHybrid(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	s.hybridTenant(t, w, r)
-}
-
-// hybridStatus maps a hybrid search error onto HTTP. The lexical gate
-// is a client error (the collection was created without "lexical":
-// true); everything else reuses the search-path ranking.
-func hybridStatus(err error) (int, string) {
-	if errors.Is(err, collection.ErrLexicalDisabled) {
-		return http.StatusBadRequest, codeLexicalDisabled
-	}
-	status, code, _ := failStatus([]error{err})
-	return status, code
-}
-
-func (s *Server) hybridTenant(t *tenant, w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, ErrDraining.Error())
-		return
-	}
-	var req hybridRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-		return
-	}
+// hybrid is the hybrid row.
+func (c *call) hybrid(req *hybridRequest) (any, error) {
+	s, t := c.s, c.t
 	if req.Text == "" && len(req.Query) == 0 {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeMissingLeg,
-			"hybrid search needs a text leg, a vector leg, or both")
-		return
+		return nil, badRequest(codeMissingLeg, "hybrid search needs a text leg, a vector leg, or both")
 	}
 	if len(req.Query) != 0 {
 		if dim := t.backend.Dim(); len(req.Query) != dim {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeDimMismatch,
+			return nil, badRequest(codeDimMismatch,
 				fmt.Sprintf("query has dim %d, collection %s has dim %d", len(req.Query), t.name, dim))
-			return
 		}
 	}
 	switch req.Fusion {
 	case "", core.FusionRRF, core.FusionWeighted:
 	default:
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest,
+		return nil, badRequest(codeBadRequest,
 			fmt.Sprintf("unknown fusion mode %q (want %q or %q)", req.Fusion, core.FusionRRF, core.FusionWeighted))
-		return
 	}
 	f, err := filter.Parse(req.Filter)
 	if err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadFilter, err.Error())
-		return
+		return nil, badRequest(codeBadFilter, err.Error())
 	}
 	hb, ok := t.backend.(HybridBackend)
 	if !ok {
-		writeError(w, http.StatusNotImplemented, codeNotImplemented,
-			"backend does not support hybrid search")
-		return
+		return nil, &apiError{http.StatusNotImplemented, codeNotImplemented, "backend does not support hybrid search"}
 	}
-	k := req.K
-	if k <= 0 {
-		k = s.cfg.DefaultK
-	}
-	if k > s.cfg.MaxK {
-		k = s.cfg.MaxK
-	}
+	k := s.clampK(req.K)
 	opts := core.HybridOptions{
 		Fusion:    req.Fusion,
 		RRFK:      req.RRFK,
@@ -192,35 +134,19 @@ func (s *Server) hybridTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 	s.stats.HybridRequests.Add(1)
 	key := hybridCacheKey(t.name, f.Canonical(), req.Text, req.Query, k,
 		fusion, req.RRFK, req.VecWeight, req.LexWeight)
-	if res, ok := t.hybrid.get(key); ok {
+	res, gen, ok := t.hybrid.get(key)
+	if ok {
 		s.stats.HybridCacheHits.Add(1)
-		s.stats.RecordLatency(time.Since(t0))
-		writeJSON(w, http.StatusOK, toHybridResponse(k, fusion, res, true, t0))
-		return
-	}
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+	} else {
+		ctx, cancel := c.withTimeout(req.TimeoutMS)
 		defer cancel()
-	}
-	res, err := hb.SearchHybrid(ctx, req.Query, req.Text, k, opts)
-	if err != nil {
-		status, code := hybridStatus(err)
-		if status == http.StatusBadRequest {
-			s.stats.BadRequests.Add(1)
+		if res, err = hb.SearchHybrid(ctx, req.Query, req.Text, k, opts); err != nil {
+			return nil, err
 		}
-		writeError(w, status, code, err.Error())
-		return
+		t.hybrid.put(key, res, gen)
 	}
-	t.hybrid.put(key, res)
-	s.stats.RecordLatency(time.Since(t0))
-	writeJSON(w, http.StatusOK, toHybridResponse(k, fusion, res, false, t0))
+	s.stats.RecordLatency(time.Since(c.t0))
+	return toHybridResponse(k, fusion, res, ok, c.t0), nil
 }
 
 func toHybridResponse(k int, fusion string, res []core.HybridResult, cached bool, t0 time.Time) hybridResponse {

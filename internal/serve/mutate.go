@@ -1,22 +1,17 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
 
-	"repro/internal/collection"
 	"repro/internal/store"
 )
 
-// Write endpoints. POST /v1/upsert and /v1/delete (and their
-// /v1/collections/{name}/ forms) route to the tenant backend's Mutator
-// half when it has one (EngineBackend, CollectionBackend; the
-// distributed MasterBackend is read-only and answers 501). Every
-// successful mutation purges that tenant's result cache — and only
-// that tenant's: caches are per-collection, so one collection's writes
-// never evict another's entries.
+// Write operations. The upsert and delete rows reach the tenant
+// backend's Mutator half when it has one (EngineBackend,
+// CollectionBackend; the distributed MasterBackend is read-only and the
+// pipeline answers 501). Every successful mutation purges that tenant's
+// result cache — and only that tenant's: caches are per-collection, so
+// one collection's writes never evict another's entries.
 
 // upsertPoint is one (id, vector) pair, optionally tagged for filtered
 // search and/or carrying document text for hybrid retrieval. (A point
@@ -67,190 +62,63 @@ type mutateResponse struct {
 	Deleted  int `json:"deleted,omitempty"`
 }
 
-// mutator resolves a tenant backend's write half, answering 501 when
-// the backend is read-only and 503 when the write circuit breaker is
-// open (the storage layer failed; mutations are refused until a
-// restart while searches keep serving).
-func (s *Server) mutator(t *tenant, w http.ResponseWriter) (Mutator, bool) {
-	m, ok := t.backend.(Mutator)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, codeNotImplemented, "backend does not support writes")
-		return nil, false
-	}
-	if err := writeBroken(t); err != nil {
-		s.stats.WritesRejected.Add(1)
-		writeError(w, http.StatusServiceUnavailable, codeWriteFailed,
-			"write path failed, mutations rejected until restart: "+err.Error())
-		return nil, false
-	}
-	return m, true
-}
-
-// mutationStatus maps a mid-batch mutation error to an HTTP status and
-// code: attributes the log would not read back are 400, the tenant's
-// admission quota is 429, draining 503, a storage failure that tripped
-// the breaker 503 (the replica is degraded, not the request), anything
-// else 500.
-func (s *Server) mutationStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, store.ErrInvalidUpsert):
-		s.stats.BadRequests.Add(1)
-		return http.StatusBadRequest, codeBadRequest
-	case errors.Is(err, collection.ErrLexicalDisabled):
-		s.stats.BadRequests.Add(1)
-		return http.StatusBadRequest, codeLexicalDisabled
-	case errors.Is(err, collection.ErrQuota):
-		return http.StatusTooManyRequests, codeQuota
-	case errors.Is(err, collection.ErrDraining):
-		return http.StatusServiceUnavailable, codeDraining
-	case errors.Is(err, store.ErrWALFailed):
-		s.stats.WritesRejected.Add(1)
-		return http.StatusServiceUnavailable, codeWriteFailed
-	default:
-		return http.StatusInternalServerError, codeInternal
-	}
-}
-
-func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeBadRequest, "POST only")
-		return false
-	}
-	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, codeDraining, ErrDraining.Error())
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(v); err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, DefaultCollection)
-	if !ok {
-		return
-	}
-	s.upsertTenant(t, w, r)
-}
-
-func (s *Server) handleColUpsert(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	s.upsertTenant(t, w, r)
-}
-
-func (s *Server) upsertTenant(t *tenant, w http.ResponseWriter, r *http.Request) {
-	mut, ok := s.mutator(t, w)
-	if !ok {
-		return
-	}
-	var req upsertRequest
-	if !s.decodeMutation(w, r, &req) {
-		return
-	}
+// upsert is the upsert row. Every mutation that lands purges the
+// tenant's caches, the ones before a mid-batch failure included.
+func (c *call) upsert(req *upsertRequest) (any, error) {
+	s, t := c.s, c.t
 	points := req.Points
 	if req.Vector != nil {
 		if points != nil {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, "set vector or points, not both")
-			return
+			return nil, badRequest(codeBadRequest, "set vector or points, not both")
 		}
 		if req.ID == nil {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, "upsert needs an id")
-			return
+			return nil, badRequest(codeBadRequest, "upsert needs an id")
 		}
 		points = []upsertPoint{{ID: *req.ID, Vector: req.Vector, Tags: req.Tags, Text: req.Text}}
 	}
 	if len(points) == 0 {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "no points")
-		return
+		return nil, badRequest(codeBadRequest, "no points")
 	}
 	if len(points) > s.cfg.MaxQueries {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest,
+		return nil, badRequest(codeBadRequest,
 			fmt.Sprintf("%d points exceeds the per-request limit %d", len(points), s.cfg.MaxQueries))
-		return
 	}
 	dim := t.backend.Dim()
 	for i, p := range points {
 		if len(p.Vector) != dim {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeDimMismatch,
+			return nil, badRequest(codeDimMismatch,
 				fmt.Sprintf("point %d has dim %d, collection %s has dim %d", i, len(p.Vector), t.name, dim))
-			return
 		}
 	}
 	for i := range points {
 		p := &points[i]
-		if err := mut.Upsert(p.Vector, p.ID, p.attrs()); err != nil {
+		if err := c.mut.Upsert(p.Vector, p.ID, p.attrs()); err != nil {
 			t.applied(&s.stats.Upserts, i)
-			status, code := s.mutationStatus(err)
-			writeError(w, status, code,
-				fmt.Sprintf("upsert of point %d (id %d) failed after %d applied: %v", i, p.ID, i, err))
-			return
+			return nil, fmt.Errorf("upsert of point %d (id %d) failed after %d applied: %w", i, p.ID, i, err)
 		}
 	}
 	t.applied(&s.stats.Upserts, len(points))
-	writeJSON(w, http.StatusOK, mutateResponse{Upserted: len(points)})
+	return mutateResponse{Upserted: len(points)}, nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, DefaultCollection)
-	if !ok {
-		return
-	}
-	s.deleteTenant(t, w, r)
-}
-
-func (s *Server) handleColDelete(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	s.deleteTenant(t, w, r)
-}
-
-func (s *Server) deleteTenant(t *tenant, w http.ResponseWriter, r *http.Request) {
-	mut, ok := s.mutator(t, w)
-	if !ok {
-		return
-	}
-	var req deleteRequest
-	if !s.decodeMutation(w, r, &req) {
-		return
-	}
+// delete is the delete row.
+func (c *call) delete(req *deleteRequest) (any, error) {
 	ids := req.IDs
 	if req.ID != nil {
 		if ids != nil {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, "set id or ids, not both")
-			return
+			return nil, badRequest(codeBadRequest, "set id or ids, not both")
 		}
 		ids = []int64{*req.ID}
 	}
 	if len(ids) == 0 {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "no ids")
-		return
+		return nil, badRequest(codeBadRequest, "no ids")
 	}
 	for i, id := range ids {
-		if err := mut.Delete(id); err != nil {
-			t.applied(&s.stats.Deletes, i)
-			status, code := s.mutationStatus(err)
-			writeError(w, status, code,
-				fmt.Sprintf("delete of id %d failed after %d applied: %v", id, i, err))
-			return
+		if err := c.mut.Delete(id); err != nil {
+			c.t.applied(&c.s.stats.Deletes, i)
+			return nil, fmt.Errorf("delete of id %d failed after %d applied: %w", id, i, err)
 		}
 	}
-	t.applied(&s.stats.Deletes, len(ids))
-	writeJSON(w, http.StatusOK, mutateResponse{Deleted: len(ids)})
+	c.t.applied(&c.s.stats.Deletes, len(ids))
+	return mutateResponse{Deleted: len(ids)}, nil
 }

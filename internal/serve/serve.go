@@ -22,6 +22,14 @@
 //   - drain: on shutdown the gateway stops admitting, finishes what is
 //     queued, and only then returns.
 //
+// The HTTP side is one request pipeline (pipeline.go): a route table
+// with one row per operation — search, hybrid, upsert, delete,
+// collection create and drop — each served by the same steps in the
+// same order: method, tenant, draining (on the rows that gate on it),
+// write capability and breaker, size-limited decode, run, encode, with
+// one error-to-status table behind every error body. The legacy
+// /v1/<op> routes are the same rows with the tenant fixed to "default".
+//
 // The gateway serves either backend: the single-process core.Engine or
 // the distributed core.Master driver (see Backend).
 package serve
@@ -155,12 +163,11 @@ func (b *EngineBackend) MaxK() int { return 0 }
 // SearchBatch implements Backend. A single-process engine either
 // answers fully or errors; it is never degraded.
 func (b *EngineBackend) SearchBatch(ctx context.Context, queries *vec.Dataset, k int) (BatchOutput, error) {
-	res, err := b.Engine.SearchBatchContext(ctx, queries, k, b.Threads)
-	return BatchOutput{Results: res}, err
+	return b.SearchBatchFiltered(ctx, queries, k, nil)
 }
 
 // SearchBatchFiltered implements FilteredBackend: the whole round runs
-// under one pushed-down predicate.
+// under one pushed-down predicate (nil for none).
 func (b *EngineBackend) SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr) (BatchOutput, error) {
 	res, err := b.Engine.SearchBatchFiltered(ctx, queries, k, f, b.Threads)
 	return BatchOutput{Results: res}, err
@@ -218,8 +225,9 @@ func (b *EngineBackend) WriteFailed() error {
 	return nil
 }
 
-// Varz implements VarzProvider: engine occupancy plus, when durable,
-// the store's WAL/compaction counters under "ingest".
+// Varz implements VarzProvider: engine occupancy, the lexical and frozen
+// sections (one builder with the collections) and, when durable, the
+// store's WAL/compaction counters under "ingest".
 func (b *EngineBackend) Varz() map[string]any {
 	engine := map[string]any{
 		"points":     b.Engine.Len(),
@@ -230,36 +238,9 @@ func (b *EngineBackend) Varz() map[string]any {
 	}
 	collection.TagVarz(engine, b.Engine)
 	m := map[string]any{"engine": engine}
+	collection.SectionVarz(m, b.Engine, b.Lexical)
 	if b.Store != nil {
 		m["ingest"] = b.Store.Stats()
-	}
-	if b.Lexical {
-		ls := b.Engine.LexicalStats()
-		m["lexical"] = map[string]any{
-			"docs":             ls.Docs,
-			"terms":            ls.Terms,
-			"postings_bytes":   ls.PostingsBytes,
-			"avg_doc_len":      ls.AvgDocLen,
-			"searches":         ls.Searches,
-			"postings_scanned": ls.PostingsScanned,
-			"k1":               ls.K1,
-			"b":                ls.B,
-		}
-	}
-	if fi, ok := b.Engine.FrozenInfo(); ok {
-		m["frozen"] = map[string]any{
-			"partitions":   fi.Partitions,
-			"points":       fi.FrozenLen,
-			"tail_points":  fi.TailLen,
-			"arena_bytes":  fi.ArenaBytes,
-			"sq8":          fi.Quantized,
-			"searches":     fi.Searches,
-			"quant_scans":  fi.QuantComps,
-			"reranked":     fi.Reranked,
-			"rerank_ratio": fi.RerankRatio(),
-			"tail_scanned": fi.TailScanned,
-			"refreezes":    fi.Refreezes,
-		}
 	}
 	return m
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -114,17 +113,8 @@ func newServer(cfg ServerConfig, reg *collection.Registry) *Server {
 		reg:     reg,
 		tenants: make(map[string]*tenant),
 	}
-	s.mux.HandleFunc("/v1/search", s.handleSearch)
-	s.mux.HandleFunc("/v1/upsert", s.handleUpsert)
-	s.mux.HandleFunc("/v1/delete", s.handleDelete)
-	s.mux.HandleFunc("POST /v1/hybrid", s.handleHybrid)
-	s.mux.HandleFunc("POST /v1/collections/{name}/hybrid", s.handleColHybrid)
-	s.mux.HandleFunc("POST /v1/collections/{name}/search", s.handleColSearch)
-	s.mux.HandleFunc("POST /v1/collections/{name}/upsert", s.handleColUpsert)
-	s.mux.HandleFunc("POST /v1/collections/{name}/delete", s.handleColDelete)
+	s.routes()
 	s.mux.HandleFunc("GET /v1/collections", s.handleColList)
-	s.mux.HandleFunc("POST /v1/collections", s.handleColCreate)
-	s.mux.HandleFunc("DELETE /v1/collections/{name}", s.handleColDrop)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/varz", s.handleVarz)
 	return s
@@ -142,14 +132,8 @@ func (s *Server) Stats() *Stats { return s.stats }
 // itself (stores, WALs) stays open — closing it is its owner's job.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	s.mu.RLock()
-	ts := make([]*tenant, 0, len(s.tenants))
-	for _, t := range s.tenants {
-		ts = append(ts, t)
-	}
-	s.mu.RUnlock()
 	var first error
-	for _, t := range ts {
+	for _, t := range s.snapshot() {
 		if err := t.batcher.Drain(ctx); err != nil && first == nil {
 			first = err
 		}
@@ -193,174 +177,38 @@ type searchResponse struct {
 	Results          []searchResult `json:"results"`
 }
 
-// Machine-readable error codes carried in every error body, so clients
-// can branch without parsing prose.
-const (
-	codeBadRequest        = "bad_request"
-	codeBadFilter         = "bad_filter"
-	codeDimMismatch       = "dim_mismatch"
-	codeUnknownCollection = "unknown_collection"
-	codeCollectionExists  = "collection_exists"
-	codeBadName           = "bad_name"
-	codeMissingLeg        = "missing_leg"
-	codeLexicalDisabled   = "lexical_disabled"
-	codeQuota             = "quota_exceeded"
-	codeOverloaded        = "overloaded"
-	codeDraining          = "draining"
-	codeDeadline          = "deadline_exceeded"
-	codeWriteFailed       = "write_failed"
-	codeNotImplemented    = "not_implemented"
-	codeInternal          = "internal"
-)
-
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeError emits a typed JSON error. Retriable statuses (429, 503)
-// carry Retry-After so well-behaved clients back off.
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, errorResponse{Error: msg, Code: code})
-}
-
-// failStatus maps a per-query error to the request's HTTP status and
-// error code. When a batch fails in several ways the most actionable
-// status wins: draining beats quota beats overload beats deadline.
-func failStatus(errs []error) (int, string, error) {
-	rank := func(err error) int {
-		switch {
-		case errors.Is(err, ErrDraining), errors.Is(err, collection.ErrDraining):
-			return 5
-		case errors.Is(err, collection.ErrQuota):
-			return 4
-		case errors.Is(err, ErrOverloaded):
-			return 3
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			return 2
-		case errors.Is(err, ErrFilterUnsupported):
-			return 1
-		default:
-			return 0
-		}
-	}
-	best, bestRank := error(nil), -1
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if r := rank(err); r > bestRank {
-			best, bestRank = err, r
-		}
-	}
-	switch bestRank {
-	case 5:
-		return http.StatusServiceUnavailable, codeDraining, best
-	case 4:
-		return http.StatusTooManyRequests, codeQuota, best
-	case 3:
-		return http.StatusTooManyRequests, codeOverloaded, best
-	case 2:
-		return http.StatusGatewayTimeout, codeDeadline, best
-	case 1:
-		return http.StatusNotImplemented, codeNotImplemented, best
-	default:
-		return http.StatusInternalServerError, codeInternal, best
-	}
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, codeBadRequest, "POST only")
-		return
-	}
-	t, ok := s.tenantFor(w, DefaultCollection)
-	if !ok {
-		return
-	}
-	s.searchTenant(t, w, r)
-}
-
-func (s *Server) handleColSearch(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.tenantFor(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	s.searchTenant(t, w, r)
-}
-
-func (s *Server) searchTenant(t *tenant, w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
-	var req searchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: "+err.Error())
-		return
-	}
+// search is the search row: each query answered through the tenant's
+// cache, single-flight table and micro-batcher.
+func (c *call) search(req *searchRequest) (any, error) {
+	s, t := c.s, c.t
 	queries := req.Queries
 	if req.Query != nil {
 		if queries != nil {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, "set query or queries, not both")
-			return
+			return nil, badRequest(codeBadRequest, "set query or queries, not both")
 		}
 		queries = [][]float32{req.Query}
 	}
 	if len(queries) == 0 {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "no queries")
-		return
+		return nil, badRequest(codeBadRequest, "no queries")
 	}
 	if len(queries) > s.cfg.MaxQueries {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest,
+		return nil, badRequest(codeBadRequest,
 			fmt.Sprintf("%d queries exceeds the per-request limit %d", len(queries), s.cfg.MaxQueries))
-		return
 	}
 	dim := t.backend.Dim()
 	for i, q := range queries {
 		if len(q) != dim {
-			s.stats.BadRequests.Add(1)
-			writeError(w, http.StatusBadRequest, codeDimMismatch,
+			return nil, badRequest(codeDimMismatch,
 				fmt.Sprintf("query %d has dim %d, collection %s has dim %d", i, len(q), t.name, dim))
-			return
 		}
 	}
 	f, err := filter.Parse(req.Filter)
 	if err != nil {
-		s.stats.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadFilter, err.Error())
-		return
+		return nil, badRequest(codeBadFilter, err.Error())
 	}
-	k := req.K
-	if k <= 0 {
-		k = s.cfg.DefaultK
-	}
-	if k > s.cfg.MaxK {
-		k = s.cfg.MaxK
-	}
-
-	ctx := r.Context()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	k := s.clampK(req.K)
+	ctx, cancel := c.withTimeout(req.TimeoutMS)
+	defer cancel()
 
 	s.stats.Requests.Add(int64(len(queries)))
 
@@ -383,13 +231,8 @@ func (s *Server) searchTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 		}
 		wg.Wait()
 	}
-
-	for _, err := range errs {
-		if err != nil {
-			status, code, cause := failStatus(errs)
-			writeError(w, status, code, cause.Error())
-			return
-		}
+	if e := statusOf(errs...); e != nil {
+		return nil, e
 	}
 	// Queries of one HTTP request may land in different backend rounds;
 	// the response's degraded view is the union over all of them.
@@ -406,9 +249,9 @@ func (s *Server) searchTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 	if resp.Degraded {
 		s.stats.DegradedResponses.Add(1)
 	}
-	s.stats.RecordLatency(time.Since(t0))
-	resp.TookUS = time.Since(t0).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	s.stats.RecordLatency(time.Since(c.t0))
+	resp.TookUS = time.Since(c.t0).Microseconds()
+	return resp, nil
 }
 
 // answerOne resolves a single query within a tenant: cache hit, join an
@@ -417,7 +260,8 @@ func (s *Server) searchTenant(t *tenant, w http.ResponseWriter, r *http.Request)
 // stored.
 func (s *Server) answerOne(t *tenant, ctx context.Context, q []float32, k int, f *filter.Expr) (searchResult, BatchMeta, error) {
 	key := cacheKey(t.name, f.Canonical(), q, k)
-	if res, ok := t.cache.get(key); ok {
+	res, gen, ok := t.cache.get(key)
+	if ok {
 		s.stats.CacheHits.Add(1)
 		return toSearchResult(res, true), BatchMeta{}, nil
 	}
@@ -432,7 +276,7 @@ func (s *Server) answerOne(t *tenant, ctx context.Context, q []float32, k int, f
 		return toSearchResult(res, false), meta, nil
 	}
 	res, meta, err := t.batcher.DoFiltered(ctx, q, k, f)
-	t.cache.finishFlight(key, fl, res, meta, err)
+	t.cache.finishFlight(key, fl, gen, res, meta, err)
 	if err != nil {
 		return searchResult{}, meta, err
 	}
@@ -463,11 +307,9 @@ func writeBroken(t *tenant) error {
 
 // anyWriteBroken scans every tenant's write path for readiness.
 func (s *Server) anyWriteBroken() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for name, t := range s.tenants {
+	for _, t := range s.snapshot() {
 		if err := writeBroken(t); err != nil {
-			return fmt.Errorf("collection %s: %w", name, err)
+			return fmt.Errorf("collection %s: %w", t.name, err)
 		}
 	}
 	return nil
@@ -505,37 +347,27 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	if b, err := json.Marshal(s.stats.Snapshot()); err == nil {
 		json.Unmarshal(b, &doc)
 	}
-	s.mu.RLock()
-	tenants := make(map[string]*tenant, len(s.tenants))
-	for name, t := range s.tenants {
-		tenants[name] = t
-	}
-	s.mu.RUnlock()
-	// The default tenant's backend sections stay top-level (the
-	// single-backend layout annserve dashboards scrape); every tenant
-	// additionally gets its own section under "collections".
-	if t, ok := tenants[DefaultCollection]; ok {
-		if vp, ok := t.backend.(VarzProvider); ok {
-			for k, v := range vp.Varz() {
-				doc[k] = v
-			}
-		}
-	}
+	// Every tenant gets its own section under "collections"; the default
+	// tenant's backend sections are top-level as well (the single-backend
+	// layout annserve dashboards scrape).
 	cols := map[string]any{}
 	var tripped []string
-	for name, t := range tenants {
+	for _, t := range s.snapshot() {
 		sec := map[string]any{}
 		if vp, ok := t.backend.(VarzProvider); ok {
 			for k, v := range vp.Varz() {
 				sec[k] = v
+				if t.name == DefaultCollection {
+					doc[k] = v
+				}
 			}
 		}
 		sec["cache_entries"] = t.cache.Len()
 		sec["hybrid_cache_entries"] = t.hybrid.Len()
 		sec["queue_draining"] = t.batcher.Draining()
-		cols[name] = sec
+		cols[t.name] = sec
 		if err := writeBroken(t); err != nil {
-			tripped = append(tripped, fmt.Sprintf("%s: %v", name, err))
+			tripped = append(tripped, fmt.Sprintf("%s: %v", t.name, err))
 		}
 	}
 	doc["collections"] = cols

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/collection"
@@ -67,11 +68,10 @@ func (b *CollectionBackend) MaxK() int { return 0 }
 
 // SearchBatch implements Backend.
 func (b *CollectionBackend) SearchBatch(ctx context.Context, queries *vec.Dataset, k int) (BatchOutput, error) {
-	res, err := b.Col.SearchBatch(ctx, queries, k, b.Threads)
-	return BatchOutput{Results: res}, err
+	return b.SearchBatchFiltered(ctx, queries, k, nil)
 }
 
-// SearchBatchFiltered implements FilteredBackend.
+// SearchBatchFiltered implements FilteredBackend (nil filter for none).
 func (b *CollectionBackend) SearchBatchFiltered(ctx context.Context, queries *vec.Dataset, k int, f *filter.Expr) (BatchOutput, error) {
 	res, err := b.Col.SearchBatchFiltered(ctx, queries, k, f, b.Threads)
 	return BatchOutput{Results: res}, err
@@ -123,16 +123,41 @@ func (s *Server) newTenant(name string, backend Backend, col *collection.Collect
 	return t
 }
 
-// tenantFor resolves a collection name to its tenant, answering the
-// typed 404 itself when the name is unknown.
-func (s *Server) tenantFor(w http.ResponseWriter, name string) (*tenant, bool) {
+// snapshot returns the tenants registered right now, ordered by name.
+func (s *Server) snapshot() []*tenant {
+	s.mu.RLock()
+	ts := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		ts = append(ts, t)
+	}
+	s.mu.RUnlock()
+	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
+	return ts
+}
+
+// info describes the tenant as the collection admin routes report it.
+func (t *tenant) info() collectionInfo {
+	info := collectionInfo{Name: t.name, Dim: t.backend.Dim()}
+	if t.col != nil {
+		cfg := t.col.Config()
+		info.Metric = cfg.Metric
+		info.Frozen = cfg.Frozen
+		info.Points = t.col.Engine().Len()
+	}
+	return info
+}
+
+// tenantFor resolves a collection name to its tenant.
+func (s *Server) tenantFor(name string) (*tenant, error) {
 	s.mu.RLock()
 	t, ok := s.tenants[name]
 	s.mu.RUnlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, codeUnknownCollection,
-			"unknown collection "+name)
-		return nil, false
+		return nil, unknownCollection(name)
 	}
-	return t, true
+	return t, nil
+}
+
+func unknownCollection(name string) *apiError {
+	return &apiError{http.StatusNotFound, codeUnknownCollection, "unknown collection " + name}
 }

@@ -18,8 +18,12 @@ bin:
 fast: vet
 	$(GO) test -short ./...
 
+# The second pass type-checks the !amd64 build (the generic SQ8 byte
+# kernel) with the standard library's own cross-compilation: nothing to
+# download.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -97,6 +101,8 @@ bench-filter:
 # accepts a record if and only if it round-trips through the codec
 # with exact-length framing and a byte-stable re-encode, and what it
 # refuses never reaches the log), the SQ8 codec (non-finite rejection, round-trip bounds),
+# the SQ8 byte kernel (the dispatched kernel, AVX2 where the CPU has it,
+# equals the generic one and the naive sum on any pair of codes),
 # the filter expression parser (no panic, canonical-form fixed point,
 # reparse equivalence), the lexical tokenizer (no panic,
 # deterministic, only lowercased alphanumeric terms), and the gateway's
@@ -108,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzTextRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSQ8Codec -fuzztime=10s -run '^$$' ./internal/vec
+	$(GO) test -fuzz=FuzzSquaredL2Bytes -fuzztime=10s -run '^$$' ./internal/vec
 	$(GO) test -fuzz=FuzzFilterParse -fuzztime=10s -run '^$$' ./internal/filter
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=10s -run '^$$' ./internal/lexical
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run '^$$' ./internal/serve

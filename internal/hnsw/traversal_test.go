@@ -134,35 +134,42 @@ func TestTraversalCrossLayoutIdentity(t *testing.T) {
 // TestTraversalAllocCeiling bounds allocations per search so that a
 // scorer closure or interface value that starts escaping per distance
 // call fails deterministically instead of hiding in benchmark noise.
-// The frozen layouts make a fixed handful per search (collector,
-// frontier growth, result slices: 16 / 19 float and 22 / 25 SQ8, plain
-// / 1%-filtered, before and after the traversal fold). The dynamic
-// graph copies one grown neighbour list per hop, so its ceiling is the
-// count measured on this fixture when the plain path still had its own
-// loop.
+// Each ceiling is the count measured on this fixture. The frozen
+// layouts make a fixed handful per search (collector, frontier growth,
+// result slices: 13 / 16 float and 16 / 19 SQ8, plain / 1%-filtered).
+// The dynamic graph copies one grown neighbour list per hop.
+//
+// Under the race detector sync.Pool drops a quarter of its Puts, so
+// some searches build a fresh searchCtx: over 20 runs every row read
+// one more in about a quarter of them, and raceSlack is twice that.
 func TestTraversalAllocCeiling(t *testing.T) {
 	fx := newTraversalFixture(t)
 	q := fx.queries[0]
 	const k, ef = 10, 64
+	raceSlack := 0.0
+	if raceEnabled {
+		raceSlack = 2
+	}
 	for _, tc := range []struct {
 		layout  string
 		keep    func(int64) bool
 		ceiling float64
 	}{
-		{"frozen", nil, 32},
-		{"frozen", selKeep(100), 32},
-		{"frozen_sq8", nil, 32},
-		{"frozen_sq8", selKeep(100), 32},
-		{"dynamic", nil, 349},
+		{"frozen", nil, 13},
+		{"frozen", selKeep(100), 16},
+		{"frozen_sq8", nil, 16},
+		{"frozen_sq8", selKeep(100), 19},
+		{"dynamic", nil, 346},
 	} {
 		name := fmt.Sprintf("%s/filtered=%v", tc.layout, tc.keep != nil)
 		if _, _, err := fx.search(tc.layout, q, k, ef, 0, tc.keep); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		ceiling := tc.ceiling + raceSlack
 		got := testing.AllocsPerRun(20, func() { fx.search(tc.layout, q, k, ef, 0, tc.keep) })
-		t.Logf("%s: %.0f allocs/search (ceiling %.0f)", name, got, tc.ceiling)
-		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs/search, ceiling %.0f", name, got, tc.ceiling)
+		t.Logf("%s: %.0f allocs/search (ceiling %.0f)", name, got, ceiling)
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocs/search, ceiling %.0f", name, got, ceiling)
 		}
 	}
 }

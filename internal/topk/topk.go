@@ -14,7 +14,10 @@
 // every distance-computation loop.
 package topk
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Result is one (id, distance) pair returned by a search.
 type Result struct {
@@ -122,11 +125,14 @@ func (c *Collector) siftDown(i int) {
 
 // SortResults sorts results by ascending distance, then ascending ID.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
+	slices.SortFunc(rs, func(a, b Result) int {
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
 		}
-		return rs[i].ID < rs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

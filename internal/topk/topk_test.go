@@ -221,6 +221,36 @@ func TestSortResultsTieBreak(t *testing.T) {
 	}
 }
 
+// TestSortResultsOrder: on distinct IDs with many tied distances the
+// sort's output is the one (distance, ID) order a reflective sort.Slice
+// under the same comparison produces, and it allocates nothing.
+func TestSortResultsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < 300; n += 7 {
+		rs := make([]Result, n)
+		for i, id := range rng.Perm(n) {
+			rs[i] = Result{ID: int64(id), Dist: float32(rng.Intn(8))}
+		}
+		want := append([]Result(nil), rs...)
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Dist != want[j].Dist {
+				return want[i].Dist < want[j].Dist
+			}
+			return want[i].ID < want[j].ID
+		})
+		SortResults(rs)
+		for i := range rs {
+			if rs[i] != want[i] {
+				t.Fatalf("n=%d: position %d is %+v, want %+v", n, i, rs[i], want[i])
+			}
+		}
+	}
+	rs := []Result{{5, 1}, {2, 1}, {9, 0}}
+	if a := testing.AllocsPerRun(10, func() { SortResults(rs) }); a != 0 {
+		t.Errorf("SortResults: %v allocs, want 0", a)
+	}
+}
+
 func BenchmarkCollectorPush(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	ds := make([]float32, 4096)

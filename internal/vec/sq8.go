@@ -118,14 +118,23 @@ func (s *SQ8) Decode(code []uint8, dst []float32) []float32 {
 	return dst
 }
 
-// SquaredL2Bytes returns sum_i (a_i-b_i)² over uint8 codes with an
-// 8-way unrolled integer inner loop — the quantized first-pass kernel of
-// the frozen hot path. The result is exact in uint32 for dim ≤ 66049
-// (dim·255² < 2⁶⁴ would need uint64; 255²·66049 < 2³²).
+// SquaredL2Bytes returns sum_i (a_i-b_i)² over uint8 codes — the
+// quantized first-pass kernel of the frozen hot path. The result is
+// exact in uint32 for dim ≤ 66049 (255²·66049 < 2³²); beyond that it
+// wraps mod 2³². On amd64 CPUs with AVX2 it runs a vector body
+// (sq8_amd64.s), elsewhere squaredL2BytesGeneric. Integer sums are exact
+// in any order, so both return the same value for every input.
 func SquaredL2Bytes(a, b []uint8) uint32 {
 	if len(a) != len(b) {
 		panic("vec: dimension mismatch")
 	}
+	return squaredL2Bytes(a, b)
+}
+
+// squaredL2BytesGeneric is SquaredL2Bytes with an 8-way unrolled scalar
+// loop: the only path off amd64 or without AVX2, and the oracle the
+// vector body is tested against.
+func squaredL2BytesGeneric(a, b []uint8) uint32 {
 	var s0, s1, s2, s3 uint32
 	n := len(a)
 	i := 0
@@ -146,27 +155,6 @@ func SquaredL2Bytes(a, b []uint8) uint32 {
 	for ; i < n; i++ {
 		d := int32(a[i]) - int32(b[i])
 		s0 += uint32(d * d)
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// DotBytes returns sum_i a_i·b_i over uint8 codes (integer inner
-// product; useful for IP/cosine-style first passes).
-func DotBytes(a, b []uint8) uint32 {
-	if len(a) != len(b) {
-		panic("vec: dimension mismatch")
-	}
-	var s0, s1, s2, s3 uint32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += uint32(a[i]) * uint32(b[i])
-		s1 += uint32(a[i+1]) * uint32(b[i+1])
-		s2 += uint32(a[i+2]) * uint32(b[i+2])
-		s3 += uint32(a[i+3]) * uint32(b[i+3])
-	}
-	for ; i < n; i++ {
-		s0 += uint32(a[i]) * uint32(b[i])
 	}
 	return s0 + s1 + s2 + s3
 }

@@ -1,10 +1,33 @@
 package vec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
 )
+
+// FuzzSquaredL2Bytes splits each input into two equal halves (an odd
+// last byte is dropped) and scores them as one pair of codes: the
+// generic kernel must return the naive sum, and the kernel
+// SquaredL2Bytes dispatches to the same value.
+func FuzzSquaredL2Bytes(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 255})
+	f.Add(make([]byte, 64))
+	f.Add(append(make([]byte, 33), bytes.Repeat([]byte{255}, 33)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 2
+		a, b := data[:n], data[n:2*n]
+		want := naiveL2Bytes(a, b)
+		if got := squaredL2BytesGeneric(a, b); got != want {
+			t.Fatalf("n=%d: squaredL2BytesGeneric = %d, naive %d", n, got, want)
+		}
+		if got := SquaredL2Bytes(a, b); got != want {
+			t.Fatalf("n=%d: SquaredL2Bytes = %d, naive %d", n, got, want)
+		}
+	})
+}
 
 // FuzzSQ8Codec throws arbitrary float32 data at the SQ8 codec. The
 // contract under fuzzing:

@@ -155,8 +155,8 @@ func TestSQ8EncodeAllLayout(t *testing.T) {
 	}
 }
 
-// TestSquaredL2BytesExact: the unrolled kernel is exactly the naive sum
-// for all lengths around the unroll width.
+// TestSquaredL2BytesExact: the kernel is exactly the naive sum for all
+// lengths around the unroll width.
 func TestSquaredL2BytesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 64, 129} {
@@ -166,20 +166,60 @@ func TestSquaredL2BytesExact(t *testing.T) {
 			a[i] = uint8(rng.Intn(256))
 			b[i] = uint8(rng.Intn(256))
 		}
-		var want uint32
-		for i := range a {
-			d := int32(a[i]) - int32(b[i])
-			want += uint32(d * d)
-		}
+		want := naiveL2Bytes(a, b)
 		if got := SquaredL2Bytes(a, b); got != want {
 			t.Errorf("n=%d: SquaredL2Bytes = %d, want %d", n, got, want)
 		}
-		var wantDot uint32
-		for i := range a {
-			wantDot += uint32(a[i]) * uint32(b[i])
+	}
+}
+
+// l2BytesPairs returns the operand pairs of length n the vector kernel is
+// checked on: random bytes, and the two extreme pairs whose every
+// difference is ±255 (the largest squares, the lane sums' worst case).
+func l2BytesPairs(rng *rand.Rand, n int) [][2][]uint8 {
+	rnd := [2][]uint8{make([]uint8, n), make([]uint8, n)}
+	rng.Read(rnd[0])
+	rng.Read(rnd[1])
+	zeros, ones := make([]uint8, n), make([]uint8, n)
+	for i := range ones {
+		ones[i] = 255
+	}
+	return [][2][]uint8{rnd, {ones, zeros}, {zeros, ones}}
+}
+
+func naiveL2Bytes(a, b []uint8) uint32 {
+	var s uint32
+	for i := range a {
+		d := int32(a[i]) - int32(b[i])
+		s += uint32(d * d)
+	}
+	return s
+}
+
+// TestSquaredL2BytesMatchesGeneric: for every length up to 600 — whole
+// 32- and 16-byte blocks and every scalar tail after them — and for one
+// length past dim 66049, where the sums wrap mod 2³², the generic kernel
+// equals the naive sum and the kernel SquaredL2Bytes dispatches to
+// equals the generic one. Without AVX2 the dispatched kernel is the
+// generic one, and the test skips that half, saying so.
+func TestSquaredL2BytesMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var pairs [][2][]uint8
+	for n := 0; n <= 600; n++ {
+		pairs = append(pairs, l2BytesPairs(rng, n)...)
+	}
+	pairs = append(pairs, l2BytesPairs(rng, 70000)...)
+	for _, p := range pairs {
+		if got, want := squaredL2BytesGeneric(p[0], p[1]), naiveL2Bytes(p[0], p[1]); got != want {
+			t.Fatalf("n=%d: squaredL2BytesGeneric = %d, naive %d", len(p[0]), got, want)
 		}
-		if got := DotBytes(a, b); got != wantDot {
-			t.Errorf("n=%d: DotBytes = %d, want %d", n, got, wantDot)
+	}
+	if !hasAVX2 {
+		t.Skip("no AVX2 on this CPU or architecture: SquaredL2Bytes runs squaredL2BytesGeneric itself")
+	}
+	for _, p := range pairs {
+		if got, want := SquaredL2Bytes(p[0], p[1]), squaredL2BytesGeneric(p[0], p[1]); got != want {
+			t.Fatalf("n=%d: SquaredL2Bytes = %d, generic %d", len(p[0]), got, want)
 		}
 	}
 }
@@ -191,6 +231,16 @@ func TestSquaredL2BytesMismatchPanics(t *testing.T) {
 		}
 	}()
 	SquaredL2Bytes(make([]uint8, 3), make([]uint8, 4))
+}
+
+var benchSinkU32 uint32
+
+func BenchmarkSquaredL2BytesDim128(b *testing.B) {
+	p := l2BytesPairs(rand.New(rand.NewSource(8)), 128)[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSinkU32 = SquaredL2Bytes(p[0], p[1])
+	}
 }
 
 // TestSQ8RankCorrelation: byte-domain distances must rank candidates

@@ -105,11 +105,13 @@ bench-filter:
 # equals the generic one and the naive sum on any pair of codes),
 # the filter expression parser (no panic, canonical-form fixed point,
 # reparse equivalence), the lexical tokenizer (no panic,
-# deterministic, only lowercased alphanumeric terms), and the gateway's
+# deterministic, only lowercased alphanumeric terms), the gateway's
 # one request-body decoder (per operation: accepts exactly what
 # encoding/json accepts into the same request struct, with an equal
-# struct; a rejected body is a typed 400/413 counted once). CI runs this
-# on every push; run without -fuzztime locally to dig deeper.
+# struct; a rejected body is a typed 400/413 counted once), and its
+# search-response encoder (exactly json.Encoder's bytes, or the same
+# refusal). CI runs this on every push; run without -fuzztime locally
+# to dig deeper.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzTextRecord -fuzztime=10s -run '^$$' ./internal/store
@@ -118,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFilterParse -fuzztime=10s -run '^$$' ./internal/filter
 	$(GO) test -fuzz=FuzzTokenize -fuzztime=10s -run '^$$' ./internal/lexical
 	$(GO) test -fuzz=FuzzRequestDecode -fuzztime=10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzResponseEncode -fuzztime=10s -run '^$$' ./internal/serve
 
 # Code lines per package (non-blank, non-comment, non-test Go): the
 # number a simplicity PR reports before and after. `make loc` lists

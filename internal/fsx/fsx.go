@@ -163,17 +163,37 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // of up to 1 MiB however finely write streams it. A failure leaves path
 // untouched; a *.tmp left behind by a crash is the owner's to sweep.
 func WriteAtomic(fs FS, path string, write func(io.Writer) error) (crc uint32, size int64, err error) {
+	return writeAtomic(fs, path, func(f io.Writer) error {
+		bw := bufio.NewWriterSize(f, 1<<20)
+		if err := write(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+}
+
+// WriteFileAtomic is WriteAtomic for content already in memory: the same
+// steps, with b written in one call and no staging buffer.
+func WriteFileAtomic(fs FS, path string, b []byte) (crc uint32, size int64, err error) {
+	return writeAtomic(fs, path, func(f io.Writer) error {
+		if len(b) == 0 {
+			return nil // as a Flush of nothing: no write call for the crash sweeps to count
+		}
+		_, err := f.Write(b)
+		return err
+	})
+}
+
+// writeAtomic is WriteAtomic's steps around write, which gets the
+// temporary file behind a checksumming writer.
+func writeAtomic(fs FS, path string, write func(io.Writer) error) (crc uint32, size int64, err error) {
 	tmp := path + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &crcWriter{w: bw}
+	cw := &crcWriter{w: f}
 	err = write(cw)
-	if err == nil {
-		err = bw.Flush()
-	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -188,12 +208,4 @@ func WriteAtomic(fs FS, path string, write func(io.Writer) error) (crc uint32, s
 		return 0, 0, err
 	}
 	return cw.crc, cw.n, fs.SyncDir(filepath.Dir(path))
-}
-
-// WriteFileAtomic is WriteAtomic for content already in memory.
-func WriteFileAtomic(fs FS, path string, b []byte) (crc uint32, size int64, err error) {
-	return WriteAtomic(fs, path, func(w io.Writer) error {
-		_, err := w.Write(b)
-		return err
-	})
 }

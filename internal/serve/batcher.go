@@ -113,17 +113,12 @@ func NewBatcher(backend Backend, cfg BatcherConfig, stats *Stats) *Batcher {
 	return b
 }
 
-// Submit admits one query. It never blocks: a full queue is shed
-// immediately with ErrOverloaded (admission control), and a draining
-// batcher refuses with ErrDraining. On success the returned channel
-// delivers exactly one answer.
-func (b *Batcher) Submit(ctx context.Context, q []float32, k int) (<-chan answer, error) {
-	return b.SubmitFiltered(ctx, q, k, nil)
-}
-
-// SubmitFiltered is Submit carrying a tag filter to push into the
-// search. A nil filter is an unfiltered submission; a non-nil one
-// requires the backend to implement FilteredBackend.
+// SubmitFiltered admits one query, with the tag filter to push into the
+// search: nil is an unfiltered submission, and a non-nil one requires
+// the backend to implement FilteredBackend. It never blocks: a full
+// queue is shed immediately with ErrOverloaded (admission control), and
+// a draining batcher refuses with ErrDraining. On success the returned
+// channel delivers exactly one answer.
 func (b *Batcher) SubmitFiltered(ctx context.Context, q []float32, k int, f *filter.Expr) (<-chan answer, error) {
 	if len(q) != b.backend.Dim() {
 		return nil, fmt.Errorf("serve: query dim %d, index dim %d", len(q), b.backend.Dim())
@@ -157,14 +152,9 @@ func (b *Batcher) Draining() bool {
 	return b.closed
 }
 
-// Do submits q and waits for the answer or ctx expiry, whichever comes
-// first. This is the call sites' one-stop entry; the single-flight cache
-// layers on top of it.
-func (b *Batcher) Do(ctx context.Context, q []float32, k int) ([]topk.Result, BatchMeta, error) {
-	return b.DoFiltered(ctx, q, k, nil)
-}
-
-// DoFiltered is Do with a tag filter pushed down (nil = unfiltered).
+// DoFiltered submits q under f (nil = unfiltered) and waits for the
+// answer or ctx expiry, whichever comes first. This is the call sites'
+// one-stop entry; the single-flight cache layers on top of it.
 func (b *Batcher) DoFiltered(ctx context.Context, q []float32, k int, f *filter.Expr) ([]topk.Result, BatchMeta, error) {
 	ch, err := b.SubmitFiltered(ctx, q, k, f)
 	if err != nil {

@@ -88,7 +88,7 @@ func TestBatcherCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rows[i], _, errs[i] = b.Do(context.Background(), query(4, float32(i)), 3)
+			rows[i], _, errs[i] = b.DoFiltered(context.Background(), query(4, float32(i)), 3, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -129,7 +129,7 @@ func TestBatcherDropsExpired(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ch, err := b.Submit(ctx, query(4, 1), 3)
+	ch, err := b.SubmitFiltered(ctx, query(4, 1), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBatcherDropsExpired(t *testing.T) {
 }
 
 // TestBatcherOverload: once the dispatcher is busy and the bounded queue
-// is full, Submit sheds immediately with ErrOverloaded.
+// is full, SubmitFiltered sheds immediately with ErrOverloaded.
 func TestBatcherOverload(t *testing.T) {
 	fb := &fakeBackend{dim: 4, block: make(chan struct{}), entered: make(chan struct{}, 4)}
 	stats := NewStats()
@@ -155,7 +155,7 @@ func TestBatcherOverload(t *testing.T) {
 
 	// First submission is collected by the dispatcher and blocks inside
 	// the backend; wait for that handshake so queue occupancy is exact.
-	first, err := b.Submit(context.Background(), query(4, 0), 1)
+	first, err := b.SubmitFiltered(context.Background(), query(4, 0), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestBatcherOverload(t *testing.T) {
 	// Fill the admission queue.
 	waiting := make([]<-chan answer, 0, 2)
 	for i := 1; i <= 2; i++ {
-		ch, err := b.Submit(context.Background(), query(4, float32(i)), 1)
+		ch, err := b.SubmitFiltered(context.Background(), query(4, float32(i)), 1, nil)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		waiting = append(waiting, ch)
 	}
 	// The queue is full: the next submission must shed.
-	if _, err := b.Submit(context.Background(), query(4, 9), 1); !errors.Is(err, ErrOverloaded) {
+	if _, err := b.SubmitFiltered(context.Background(), query(4, 9), 1, nil); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
 	if got := stats.Shed.Load(); got != 1 {
@@ -199,7 +199,7 @@ func TestBatcherDrain(t *testing.T) {
 
 	chans := make([]<-chan answer, 0, 8)
 	for i := 0; i < 8; i++ {
-		ch, err := b.Submit(context.Background(), query(4, float32(i)), 2)
+		ch, err := b.SubmitFiltered(context.Background(), query(4, float32(i)), 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func TestBatcherDrain(t *testing.T) {
 			t.Fatalf("request %d lost in drain: %v", i, a.err)
 		}
 	}
-	if _, err := b.Submit(context.Background(), query(4, 0), 2); !errors.Is(err, ErrDraining) {
+	if _, err := b.SubmitFiltered(context.Background(), query(4, 0), 2, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("want ErrDraining after drain, got %v", err)
 	}
 	if _, queries := fb.snapshot(); queries != 8 {

@@ -3,38 +3,60 @@ package serve
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
 
 	"repro/internal/topk"
 )
 
-// cacheKey fingerprints a (collection, filter, query vector, k) tuple.
-// FNV-1a over the raw float bits: exact-match caching only, which is
-// what repeated traffic (hot queries, retries, loadgen loops) produces.
-// The collection name and the filter's canonical form are part of the
-// key even though caches are per-tenant — the same query under a
-// different filter (or in a different collection) is a different
-// result set and must never collide. Both strings are length-prefixed
-// so ("ab","c") and ("a","bc") cannot alias.
-func cacheKey(tenant, canon string, q []float32, k int) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(tenant)))
-	h.Write(b[:])
-	h.Write([]byte(tenant))
-	binary.LittleEndian.PutUint32(b[:], uint32(len(canon)))
-	h.Write(b[:])
-	h.Write([]byte(canon))
-	binary.LittleEndian.PutUint32(b[:], uint32(k))
-	h.Write(b[:])
-	for _, x := range q {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
-		h.Write(b[:])
+// cacheKey fingerprints a request within a tenant's caches: the
+// collection, the filter's canonical form, the query text, the fusion
+// mode and its three weights (rrf_k, vec_weight, lex_weight), k and the
+// query vector — two requests differing in any of them are different
+// result sets. A search passes the hybrid-only fields as zero values. The
+// collection name and the filter are part of the key even though caches
+// are per-tenant, so the same query under a different filter (or in a
+// different collection) never collides. FNV-1a over the raw bits:
+// exact-match caching only, which is what repeated traffic (hot
+// queries, retries, loadgen loops) produces. Strings and the vector are
+// length-prefixed so adjacent fields cannot alias: ("ab","c") and
+// ("a","bc") differ.
+func cacheKey(tenant, canon, text, fusion string, weights [3]float64, k int, q []float32) uint64 {
+	h := fnvOffset.str(tenant).str(canon).str(text).str(fusion)
+	for _, w := range weights {
+		h = h.u64(math.Float64bits(w))
 	}
-	return h.Sum64()
+	h = h.u32(uint32(k)).u32(uint32(len(q)))
+	for _, x := range q {
+		h = h.u32(math.Float32bits(x))
+	}
+	return uint64(h)
+}
+
+// fnv64 is an FNV-1a state; each method hashes its argument's bytes,
+// little-endian for integers.
+type fnv64 uint64
+
+const (
+	fnvOffset fnv64 = 14695981039346656037
+	fnvPrime  fnv64 = 1099511628211
+)
+
+func (h fnv64) u32(x uint32) fnv64 {
+	for i := 0; i < 4; i++ {
+		h = (h ^ fnv64(byte(x>>(8*i)))) * fnvPrime
+	}
+	return h
+}
+
+func (h fnv64) u64(x uint64) fnv64 { return h.u32(uint32(x)).u32(uint32(x >> 32)) }
+
+func (h fnv64) str(s string) fnv64 {
+	h = h.u32(uint32(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // flight is one in-progress search that duplicate concurrent requests

@@ -33,7 +33,7 @@ func (s *Server) handleColList(w http.ResponseWriter, r *http.Request) {
 	for _, t := range s.snapshot() {
 		infos = append(infos, t.info())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"collections": infos})
+	s.writeJSON(w, http.StatusOK, map[string]any{"collections": infos})
 }
 
 // createCollection is the create row.

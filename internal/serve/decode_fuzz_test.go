@@ -13,6 +13,55 @@ import (
 	"repro/internal/collection"
 )
 
+// fastPathSeeds are bodies at the edges of decodeFast's subset: escaped
+// and non-ASCII strings, keys in another case or repeated, nulls, signed
+// zeros, float32 rounding and range edges, long mantissas, numbers of the
+// wrong kind, malformed arrays and objects, and what may follow a value.
+var fastPathSeeds = []string{
+	`{"query":[1,0,0,0],"text":"caf\u00e9","k":3}`,
+	`{"query":[1,0,0,0],"text":"café","k":3}`,
+	"{\"text\":\"bad \xff utf8\"}",
+	`{"query":[1,0,0,0],"filter":"lang=\"de\""}`,
+	"{\"text\":\"tab\there\"}",
+	`{"QUERY":[1,0,0,0]}`,
+	`{"Query":[1,0,0,0],"K":2}`,
+	`{"\u006b":2,"query":[1,0,0,0]}`,
+	`{"query":[1,0,0,0],"query":[2,0,0,0]}`,
+	`{"k":1,"k":2,"query":[1,0,0,0]}`,
+	`{"queries":[[1,0,0,0]],"queries":[[2,0,0,0],[3,0,0,0]]}`,
+	`{"query":null,"k":3}`,
+	`{"queries":[[1,0,0,0],null]}`,
+	`{"text":null,"query":[1,0,0,0]}`,
+	`{"k":null,"query":[1,0,0,0]}`,
+	`{"query":[-0,0,-0.0,0e5]}`,
+	`{"query":[1e-45,1.4e-45,7e-46,-1e-45]}`,
+	`{"query":[16777215,16777216,16777217,16777218]}`,
+	`{"query":[12345678901234567890,0.12345678901234567890,1234567890.1234567890,1]}`,
+	`{"query":[3.5e38,0,0,0]}`,
+	`{"query":[-3.5e38,0,0,0]}`,
+	`{"query":[3.4028235e38,1e-50,0,0]}`,
+	`{"k":1.5,"query":[1,0,0,0]}`,
+	`{"k":1e2,"query":[1,0,0,0]}`,
+	`{"k":-0,"query":[1,0,0,0]}`,
+	`{"k":99999999999999999999,"query":[1,0,0,0]}`,
+	`{"timeout_ms":"5","query":[1,0,0,0]}`,
+	`{"query":[1,0,0,0],"unknown":true}`,
+	`{"query":[01]}`,
+	`{"query":[1.]}`,
+	`{"query":[.5]}`,
+	`{"query":[1e]}`,
+	`{"query":[1,]}`,
+	`{"query":[1 2]}`,
+	`{"query":[],"queries":[[]]}`,
+	`{"query":[1,0,0,0],"k":3,}`,
+	`{,"k":3}`,
+	`{"k":3 "query":[1,0,0,0]}`,
+	` {"query":[1,0,0,0]} trailing`,
+	"\ufeff{\"k\":1}",
+	`{"text":"x","rrf_k":1e400}`,
+	`{"query":[1,0,0,0],"text":"x","fusion":"weighted","vec_weight":0.3,"lex_weight":0.7,"rrf_k":10}`,
+}
+
 // fuzzOps are the operations with a request body, each with a fresh
 // request struct of the type its row decodes into.
 var fuzzOps = []struct {
@@ -30,8 +79,9 @@ var fuzzOps = []struct {
 // FuzzRequestDecode pins the one request decoder to its oracle: for
 // every operation and every body it accepts exactly when a plain
 // json.Decoder accepts the same bytes into the same request struct, and
-// then yields an equal struct (the differential a faster codec has to
-// pass before it can replace encoding/json here). Through the handler,
+// then yields an equal struct (the differential that holds decodeFast to
+// encoding/json; TestFastDecodeTakesBenchShapes checks the fast path is
+// really taken). Through the handler,
 // a rejected body is always a typed 400 — 413 past the route's limit —
 // with a code, counted in BadRequests once; no body panics anything.
 func FuzzRequestDecode(f *testing.F) {
@@ -47,6 +97,14 @@ func FuzzRequestDecode(f *testing.F) {
 				seeds[r.Body] = true
 			}
 		}
+	}
+	// And the fast path's edges: the benchmark's bodies, which it reads
+	// itself, and bodies it must hand to encoding/json or read bit-exact.
+	for _, tc := range benchShapes(f) {
+		seeds[string(tc.body)] = true
+	}
+	for _, body := range fastPathSeeds {
+		seeds[body] = true
 	}
 	for body := range seeds {
 		for i := range fuzzOps {

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"net/http"
 	"time"
 
@@ -60,38 +57,6 @@ type hybridResponse struct {
 	Results []hybridResult `json:"results"`
 }
 
-// hybridCacheKey fingerprints the full hybrid request identity:
-// collection, canonical filter, query text, vector, k, and every fusion
-// parameter — two requests differing in any of them are different
-// result sets. Strings are length-prefixed so adjacent fields cannot
-// alias.
-func hybridCacheKey(tenant, canon, text string, q []float32, k int, fusion string, rrfK, vw, lw float64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(s)))
-		h.Write(b[:4])
-		h.Write([]byte(s))
-	}
-	writeStr(tenant)
-	writeStr(canon)
-	writeStr(text)
-	writeStr(fusion)
-	binary.LittleEndian.PutUint32(b[:4], uint32(k))
-	h.Write(b[:4])
-	for _, x := range []float64{rrfK, vw, lw} {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-		h.Write(b[:])
-	}
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(q)))
-	h.Write(b[:4])
-	for _, x := range q {
-		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(x))
-		h.Write(b[:4])
-	}
-	return h.Sum64()
-}
-
 // hybrid is the hybrid row.
 func (c *call) hybrid(req *hybridRequest) (any, error) {
 	s, t := c.s, c.t
@@ -132,8 +97,8 @@ func (c *call) hybrid(req *hybridRequest) (any, error) {
 	}
 
 	s.stats.HybridRequests.Add(1)
-	key := hybridCacheKey(t.name, f.Canonical(), req.Text, req.Query, k,
-		fusion, req.RRFK, req.VecWeight, req.LexWeight)
+	key := cacheKey(t.name, f.Canonical(), req.Text, fusion,
+		[3]float64{req.RRFK, req.VecWeight, req.LexWeight}, k, req.Query)
 	res, gen, ok := t.hybrid.get(key)
 	if ok {
 		s.stats.HybridCacheHits.Add(1)

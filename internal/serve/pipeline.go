@@ -117,7 +117,7 @@ func pipeline[R any](run func(*call, *R) (any, error)) func(*Server, *op, http.R
 			s.fail(w, err)
 			return
 		}
-		writeJSON(w, x.status, resp)
+		s.writeJSON(w, x.status, resp)
 	}
 }
 
@@ -162,11 +162,21 @@ func (c *call) admit() error {
 	return nil
 }
 
-// decode reads the request body, capped at the row's limit, into v. It
-// is the gateway's one request-body decoder (and encoding/json its one
-// codec): what it accepts is exactly what json.Decoder accepts for v.
+// decode reads the request body once, capped at the row's limit, into
+// a pooled buffer and decodes it into v: a search or hybrid body in the
+// fast path's subset by decodeFast (codec.go), anything else by
+// json.Decoder over the same bytes. What it accepts is exactly what
+// json.Decoder accepts for v, except that a body past the limit is a 413
+// even when its first JSON value ends before the limit.
 func (c *call) decode(v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(c.w, c.r.Body, c.op.limit)).Decode(v)
+	buf := getCodecBuf()
+	defer putCodecBuf(buf)
+	body, err := readBody(buf.b, http.MaxBytesReader(c.w, c.r.Body, c.op.limit), min(c.r.ContentLength, c.op.limit))
+	buf.b = body
+	if err == nil && !decodeFast(body, v) {
+		buf.r.Reset(body)
+		err = json.NewDecoder(&buf.r).Decode(v)
+	}
 	if err == nil {
 		return nil
 	}
@@ -305,10 +315,19 @@ type errorResponse struct {
 	Code  string `json:"code,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers with v as JSON under status. The body is encoded
+// before the header is written, so a response that cannot be encoded (a
+// non-finite distance) is a typed 500, not a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := getCodecBuf()
+	defer putCodecBuf(buf)
+	if err := encodeJSON(buf, v); err != nil {
+		s.fail(w, &apiError{http.StatusInternalServerError, codeInternal, "response not encodable: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.b)
 }
 
 // fail answers a refused request: the one place an error is counted and
@@ -328,5 +347,5 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, e.status, errorResponse{Error: e.msg, Code: e.code})
+	s.writeJSON(w, e.status, errorResponse{Error: e.msg, Code: e.code})
 }

@@ -259,7 +259,7 @@ func (c *call) search(req *searchRequest) (any, error) {
 // hits carry a zero BatchMeta by construction — degraded rows are never
 // stored.
 func (s *Server) answerOne(t *tenant, ctx context.Context, q []float32, k int, f *filter.Expr) (searchResult, BatchMeta, error) {
-	key := cacheKey(t.name, f.Canonical(), q, k)
+	key := cacheKey(t.name, f.Canonical(), "", "", [3]float64{}, k, q)
 	res, gen, ok := t.cache.get(key)
 	if ok {
 		s.stats.CacheHits.Add(1)

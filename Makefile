@@ -52,10 +52,13 @@ tier1-race:
 
 # End-to-end multi-node serving gate: gateway + worker shards over real
 # loopback TCP (internal/serve/clustertest) plus the shard RPC layer,
-# under the race detector. Kill-a-shard-mid-query, replica takeover,
-# golden recall equivalence, and cache invalidation all run here.
+# and the master's batch protocol (healthy golden table, worker kills
+# with and without a round deadline, prebuilt and node layouts), under
+# the race detector. Kill-a-shard-mid-query, replica takeover, golden
+# recall equivalence, and cache invalidation all run here.
 tier1-cluster:
 	$(GO) test -race -count=1 -timeout 300s ./internal/serve/clustertest/... ./internal/cluster/...
+	$(GO) test -race -count=1 -timeout 600s ./internal/core -run 'Distributed|Failover|Prebuilt|Worker|Golden'
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

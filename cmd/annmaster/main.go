@@ -46,7 +46,7 @@ func main() {
 		traceTo = flag.String("trace", "", "write a master-side event timeline to this file")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second,
-			"per-round collection deadline; 0 disables fault-tolerant serving")
+			"per-round collection deadline (0 = no round deadline; dead workers are still detected)")
 		retries      = flag.Int("retries", 2, "retry rounds for tasks lost to worker failures")
 		retryBackoff = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between retry rounds (doubles per round)")
 		hbInterval   = flag.Duration("hb-interval", time.Second, "TCP heartbeat period (negative disables)")

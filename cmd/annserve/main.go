@@ -129,7 +129,7 @@ func main() {
 		limit        = flag.Int("limit", 0, "load at most this many points")
 		workerWait   = flag.Duration("worker-wait", 60*time.Second, "worker dial timeout (distributed mode)")
 		clusterK     = flag.Int("cluster-k", 10, "neighbors per query the cluster serves (distributed mode)")
-		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-round failover deadline; 0 disables fault tolerance (distributed mode)")
+		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-round failover deadline (distributed mode; 0 = no round deadline; dead workers are still detected)")
 		repl         = flag.Int("replication", 1, "replication factor (distributed mode)")
 		wthreads     = flag.Int("worker-threads", 4, "searcher threads per worker (distributed mode)")
 

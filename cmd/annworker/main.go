@@ -44,9 +44,8 @@ func main() {
 		ckpt    = flag.String("checkpoint", "", "save the built index under this directory")
 		resume  = flag.String("resume", "", "serve from a checkpoint directory instead of building")
 
-		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "must match the master")
-		hbInterval   = flag.Duration("hb-interval", time.Second, "TCP heartbeat period (negative disables)")
-		hbTimeout    = flag.Duration("hb-timeout", 5*time.Second, "declare a silent peer dead after this long")
+		hbInterval = flag.Duration("hb-interval", time.Second, "TCP heartbeat period (negative disables)")
+		hbTimeout  = flag.Duration("hb-timeout", 5*time.Second, "declare a silent peer dead after this long")
 
 		serveMode = flag.Bool("serve", false, "shard-serving mode: serve a prebuilt index to annserve gateways")
 		listen    = flag.String("listen", ":7100", "shard RPC listen address (serve mode)")
@@ -92,7 +91,6 @@ func main() {
 	cfg.Seed = *seed
 
 	cfg.CheckpointDir = *ckpt
-	cfg.QueryTimeout = *queryTimeout
 	log.Printf("joined cluster of %d ranks, serving", len(list))
 	var err2 error
 	if *resume != "" {

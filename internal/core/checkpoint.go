@@ -187,44 +187,46 @@ func RunClusterFromCheckpoint(c *cluster.Comm, dir string, cfg Config, driver fu
 		return fmt.Errorf("core: need at least 1 master + 1 worker")
 	}
 	cfg.Partitions = c.Size() - 1
-	if c.Rank() == 0 {
-		// On any master-side failure, still send shutdown so workers
-		// that loaded successfully do not wait forever for a batch.
-		abort := func(err error) error {
+	d, err := loadCluster(c, dir, cfg)
+	if err != nil {
+		if c.Rank() == 0 {
+			// Workers that loaded successfully must not wait forever
+			// for a batch.
 			_ = sendShutdown(c)
-			return err
 		}
+		return err
+	}
+	return d.serve(driver)
+}
+
+// loadCluster reads this rank's share of a checkpoint: the routing tree
+// on rank 0, the partition file on a worker.
+func loadCluster(c *cluster.Comm, dir string, cfg Config) (*Distributed, error) {
+	if c.Rank() == 0 {
 		tree, err := LoadCheckpointTree(dir)
 		if err != nil {
-			return abort(err)
+			return nil, err
 		}
 		if tree.Leaves != cfg.Partitions {
-			return abort(fmt.Errorf("core: checkpoint has %d partitions, cluster has %d workers",
-				tree.Leaves, cfg.Partitions))
+			return nil, fmt.Errorf("core: checkpoint has %d partitions, cluster has %d workers",
+				tree.Leaves, cfg.Partitions)
 		}
 		if err := cfg.fill(tree.Dim); err != nil {
-			return abort(err)
+			return nil, err
 		}
-		d := &Distributed{comm: c, cfg: cfg, dim: tree.Dim, tree: tree}
-		m := &Master{d: d}
-		derr := driver(m)
-		if err := m.shutdown(); err != nil && derr == nil {
-			derr = err
-		}
-		return derr
+		return &Distributed{comm: c, cfg: cfg, dim: tree.Dim, tree: tree}, nil
 	}
 	b, err := LoadCheckpoint(dir, c.Rank()-1)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(b.Replicas) < cfg.Replication {
-		return fmt.Errorf("core: checkpoint replication %d < configured %d",
+		return nil, fmt.Errorf("core: checkpoint replication %d < configured %d",
 			len(b.Replicas), cfg.Replication)
 	}
 	dim := b.Index.Dim()
 	if err := cfg.fill(dim); err != nil {
-		return err
+		return nil, err
 	}
-	d := &Distributed{comm: c, cfg: cfg, dim: dim, builtB: b}
-	return d.workerLoop()
+	return &Distributed{comm: c, cfg: cfg, dim: dim, builtB: b}, nil
 }

@@ -4,16 +4,20 @@
 // partition with HNSW, and answers query batches with a master–worker
 // protocol (Algorithms 3–4) optionally optimised with one-sided result
 // accumulation (Section IV-C1) and replication-based load balancing
-// (Section IV-C2, Algorithm 5).
+// (Section IV-C2, Algorithm 5). The master runs every batch through one
+// round-numbered loop that also fails lost tasks over to the replicas
+// of their workgroup.
 //
 // Three entry points:
 //
 //   - Engine: single-process facade — partitions, indexes and searches in
 //     one address space with a worker pool. This is the library API the
 //     examples use.
-//   - RunDistributed: the full message-passing engine on a cluster.Comm
+//   - RunCluster: the full message-passing engine on a cluster.Comm
 //     (rank 0 = master, ranks 1..P = workers), used by every scaling
-//     experiment and by the TCP deployment.
+//     experiment and by the TCP deployment. RunClusterPrebuilt and
+//     RunClusterFromCheckpoint replace its construction and share its
+//     lifecycle: rank 0 drives and then shuts down, the others serve.
 //   - RunMultipleOwner: the multiple-owner variant the paper discusses in
 //     Section IV.
 package core
@@ -76,8 +80,11 @@ type Config struct {
 	// (one partition per rank, the flat layout). Supported by the
 	// prebuilt path.
 	CoresPerNode int
-	// OneSided enables the MPI_Get_accumulate-style result path (default
-	// set by DefaultConfig; the ablation toggles it).
+	// OneSided sends a batch's first-round results through the
+	// MPI_Get_accumulate-style window instead of result messages (default
+	// set by DefaultConfig; the ablation toggles it). Windows are not
+	// failure-safe, so a batch uses one only when QueryTimeout is 0 and
+	// every worker is alive; otherwise it collects two-sided.
 	OneSided bool
 	// Metric is the distance metric (the paper uses L2 everywhere).
 	Metric vec.Metric
@@ -115,20 +122,18 @@ type Config struct {
 	// In-process worlds share the recorder directly; the TCP deployment
 	// records per process.
 	Trace *trace.Recorder
-	// QueryTimeout, when positive, enables fault-tolerant serving: the
-	// master bounds each collection round by this deadline, declares
-	// unresponsive workers lagging, and reroutes their tasks to replicas
-	// in the same workgroup (Algorithm 5's W_i doubling as failover
-	// targets). Zero keeps the legacy wait-forever protocol. Enabling it
-	// forces OneSided off: the one-sided window's collective setup and
-	// barrier cannot survive a dead rank.
+	// QueryTimeout bounds each collection round of a batch: a worker
+	// that has not closed the round by then is declared lagging and its
+	// tasks are rerouted to replicas in the same workgroup (Algorithm 5's
+	// W_i doubling as failover targets). Zero means no round deadline;
+	// dead workers are still detected and failed over. A positive value
+	// makes every batch collect two-sided (see OneSided).
 	QueryTimeout time.Duration
 	// MaxRetries bounds the retry rounds per batch after the first
-	// attempt (default 2 when QueryTimeout is set).
+	// (default 2).
 	MaxRetries int
 	// RetryBackoff is the base of the exponential backoff between retry
-	// rounds: round i sleeps RetryBackoff << (i-1). Default 50ms when
-	// QueryTimeout is set.
+	// rounds: round i sleeps RetryBackoff << (i-1) (default 50ms).
 	RetryBackoff time.Duration
 }
 
@@ -176,17 +181,11 @@ func (c *Config) fill(dim int) error {
 		c.HNSW = hnsw.DefaultConfig(c.Metric)
 	}
 	c.HNSW.Metric = c.Metric
-	if c.QueryTimeout > 0 {
-		if c.MaxRetries <= 0 {
-			c.MaxRetries = 2
-		}
-		if c.RetryBackoff <= 0 {
-			c.RetryBackoff = 50 * time.Millisecond
-		}
-		// Windows and barriers are not failure-safe (a dead rank wedges
-		// the dissemination barrier asymmetrically), so fault-tolerant
-		// serving always collects two-sided.
-		c.OneSided = false
+	if c.MaxRetries <= 0 {
+		c.MaxRetries = 2
+	}
+	if c.RetryBackoff <= 0 {
+		c.RetryBackoff = 50 * time.Millisecond
 	}
 	_ = dim
 	return nil

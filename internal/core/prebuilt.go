@@ -43,24 +43,14 @@ func RunClusterPrebuilt(c *cluster.Comm, pre *Prebuilt, cfg Config, driver func(
 	if err := cfg.fill(pre.Tree.Dim); err != nil {
 		return err
 	}
-	d := &Distributed{comm: c, cfg: cfg, dim: pre.Tree.Dim}
-
-	if c.Rank() == 0 {
-		if _, err := c.Split(0, 0); err != nil {
-			return err
-		}
-		d.tree = pre.Tree
-		m := &Master{d: d}
-		derr := driver(m)
-		if err := m.shutdown(); err != nil && derr == nil {
-			derr = err
-		}
-		return derr
-	}
-
-	workers, err := c.Split(1, c.Rank())
-	if err != nil {
+	d := &Distributed{comm: c, cfg: cfg, dim: pre.Tree.Dim, tree: pre.Tree}
+	// Every rank joins the split the distributed build makes (master
+	// alone, workers together).
+	if _, err := c.Split(min(c.Rank(), 1), c.Rank()); err != nil {
 		return err
+	}
+	if c.Rank() == 0 {
+		return d.serve(driver)
 	}
 	// This rank plays one compute node hosting the partitions of its
 	// CoresPerNode cores, plus the replication copies each of those
@@ -82,7 +72,6 @@ func RunClusterPrebuilt(c *cluster.Comm, pre *Prebuilt, cfg Config, driver func(
 			b.Replicas[src] = pre.Indexes[src]
 		}
 	}
-	_ = workers
 	d.builtB = b
-	return d.workerLoop()
+	return d.serve(nil)
 }

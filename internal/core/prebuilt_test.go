@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -85,7 +86,8 @@ func TestRunClusterPrebuiltSizeMismatch(t *testing.T) {
 
 // Failure injection: one worker hosts a nil index, so every task routed
 // to it fails. The batch must complete with degraded results (no
-// deadlock), and the worker's error must surface from Run.
+// deadlock) that name the lost partition, and the worker's error must
+// surface from Run.
 func TestWorkerFailureDegradesGracefully(t *testing.T) {
 	ds := clustered(t, 1200, 8, 4, 50)
 	qs := dataset.PerturbedQueries(ds, 30, 0.05, 51)
@@ -111,6 +113,10 @@ func TestWorkerFailureDegradesGracefully(t *testing.T) {
 		}
 		if res == nil {
 			t.Fatalf("oneSided=%v: batch did not complete", oneSided)
+		}
+		if !res.Degraded || !reflect.DeepEqual(res.FailedPartitions, []int{2}) {
+			t.Errorf("oneSided=%v: degraded=%v failed partitions %v, want true [2]",
+				oneSided, res.Degraded, res.FailedPartitions)
 		}
 		nonEmpty := 0
 		for _, r := range res.Results {

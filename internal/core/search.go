@@ -30,10 +30,9 @@ type Distributed struct {
 	cons   ConstructStats // aggregated (max over workers per phase)
 	builtB *Built         // worker state
 
-	// fault-tolerant serving state (master only, driver goroutine only)
-	seq     uint32       // monotonic batch-round sequence number
-	lagging map[int]bool // workers that missed a round deadline and owe a Done
-	ft      FaultStats
+	// batch protocol state (master only, driver goroutine only)
+	seq     uint32 // monotonic batch-round sequence number
+	lagging []bool // by rank: missed a round deadline and owes a Done
 }
 
 // nextSeq issues the next batch-round sequence number (master only).
@@ -55,15 +54,21 @@ func RunCluster(c *cluster.Comm, ds *vec.Dataset, cfg Config, driver func(*Maste
 	if err != nil {
 		return err
 	}
-	if c.Rank() == 0 {
-		m := &Master{d: d}
-		derr := driver(m)
-		if err := m.shutdown(); err != nil && derr == nil {
-			derr = err
-		}
-		return derr
+	return d.serve(driver)
+}
+
+// serve is the lifecycle every cluster entry point ends in: rank 0 runs
+// driver and then shuts the workers down; the other ranks serve batches
+// until that shutdown.
+func (d *Distributed) serve(driver func(*Master) error) error {
+	if d.comm.Rank() != 0 {
+		return d.workerLoop()
 	}
-	return d.workerLoop()
+	err := driver(&Master{d: d})
+	if serr := sendShutdown(d.comm); serr != nil && err == nil {
+		err = serr
+	}
+	return err
 }
 
 // buildCluster distributes the dataset and builds the index structures.
@@ -118,7 +123,7 @@ func buildCluster(c *cluster.Comm, ds *vec.Dataset, cfg Config) (*Distributed, e
 		if err != nil {
 			return nil, err
 		}
-		b, err := BuildDistributed(workers, shard, workerCfg(d.cfg))
+		b, err := BuildDistributed(workers, shard, d.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -168,12 +173,6 @@ func buildCluster(c *cluster.Comm, ds *vec.Dataset, cfg Config) (*Distributed, e
 		d.cons = maxConsStats(d.cons, st)
 	}
 	return d, nil
-}
-
-func workerCfg(cfg Config) Config {
-	wc := cfg
-	wc.Partitions = cfg.Partitions
-	return wc
 }
 
 func encodeConsStats(s ConstructStats) []byte {
@@ -309,19 +308,27 @@ func (m *Master) Search(queries *vec.Dataset) (*BatchResult, error) {
 	if queries.Dim != m.d.dim {
 		return nil, fmt.Errorf("core: query dim %d, index dim %d", queries.Dim, m.d.dim)
 	}
-	switch m.d.cfg.Routing {
-	case RouteAdaptive:
+	if m.d.cfg.Routing == RouteAdaptive {
 		return m.searchAdaptive(queries)
-	default:
-		return m.searchBatch(queries, nil)
 	}
+	np := m.d.cfg.NProbe
+	var visits int64
+	res, err := m.searchBatch(queries, func(_ int, q []float32) []vptree.Route {
+		rs, v := m.d.tree.RouteTopStats(q, np)
+		visits += int64(v)
+		return rs
+	})
+	if res != nil {
+		res.RouteNodes = visits
+	}
+	return res, err
 }
 
 // searchAdaptive runs two rounds: home partitions first, then the
 // partitions intersecting the ball of the current k-th distance.
 func (m *Master) searchAdaptive(queries *vec.Dataset) (*BatchResult, error) {
 	t0 := time.Now()
-	first, err := m.searchBatch(queries, func(q []float32) []vptree.Route {
+	first, err := m.searchBatch(queries, func(_ int, q []float32) []vptree.Route {
 		return []vptree.Route{{Partition: m.d.tree.Home(q), LowerBound: 0}}
 	})
 	if err != nil {
@@ -329,7 +336,7 @@ func (m *Master) searchAdaptive(queries *vec.Dataset) (*BatchResult, error) {
 	}
 	// Round two: widen each query to the ball of its current k-th
 	// distance, skipping the already-searched home partition.
-	second, err := m.searchBatchIndexed(queries, func(qi int, q []float32) []vptree.Route {
+	second, err := m.searchBatch(queries, func(qi int, q []float32) []vptree.Route {
 		res := first.Results[qi]
 		if len(res) == 0 {
 			return m.d.tree.RouteAll(q)[1:] // no local results: widen fully
@@ -372,218 +379,6 @@ func (m *Master) searchAdaptive(queries *vec.Dataset) (*BatchResult, error) {
 		out.PerWorkerHops[i] = first.PerWorkerHops[i] + second.PerWorkerHops[i]
 	}
 	return out, nil
-}
-
-func (m *Master) searchBatch(queries *vec.Dataset, route func(q []float32) []vptree.Route) (*BatchResult, error) {
-	if route == nil {
-		np := m.d.cfg.NProbe
-		var visits int64
-		res, err := m.searchBatchIndexed(queries, func(_ int, q []float32) []vptree.Route {
-			rs, v := m.d.tree.RouteTopStats(q, np)
-			visits += int64(v)
-			return rs
-		})
-		if res != nil {
-			res.RouteNodes = visits
-		}
-		return res, err
-	}
-	return m.searchBatchIndexed(queries, func(_ int, q []float32) []vptree.Route { return route(q) })
-}
-
-// searchBatchIndexed is Algorithm 3 (and 5 when Replication > 1): route
-// every query, dispatch to workers (round-robin within the workgroup),
-// send End-of-Queries, then collect results two-sided or via the
-// one-sided window.
-func (m *Master) searchBatchIndexed(queries *vec.Dataset, route func(qi int, q []float32) []vptree.Route) (*BatchResult, error) {
-	if m.d.cfg.QueryTimeout > 0 {
-		return m.searchBatchFT(queries, route)
-	}
-	d := m.d
-	c := d.comm
-	nq := queries.Len()
-	k := d.cfg.K
-	t0 := time.Now()
-
-	hdr := batchHeader{Seq: d.nextSeq(), NQueries: uint32(nq), K: uint16(k), OneSided: d.cfg.OneSided}
-	d.cfg.Trace.Emitf(0, "batch", "start: %d queries, k=%d", nq, k)
-	var commT time.Duration
-	var hdrErr error
-	metrics.Phase(&commT, func() {
-		enc := encodeHeader(hdr)
-		for w := 1; w < c.Size(); w++ {
-			if err := c.Send(w, tagHeader, enc); err != nil {
-				hdrErr = err
-				return
-			}
-		}
-	})
-	if hdrErr != nil {
-		return nil, hdrErr
-	}
-
-	var win *cluster.Window
-	if d.cfg.OneSided {
-		var err error
-		win, err = cluster.NewWindow(c, 0, nq, mergeResultSlot(k))
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Workgroup round-robin state (Algorithm 5): next[i] indexes into
-	// W_i = {p_i, ..., p_(i+r-1 mod P)}. Cores map onto worker ranks in
-	// groups of CoresPerNode (Figure 1's compute nodes).
-	r := d.cfg.Replication
-	p := d.cfg.Partitions
-	cpn := d.cfg.CoresPerNode
-	workers := c.Size() - 1
-	next := make([]int, p)
-
-	dispatched := int64(0)
-	var routeT, sendT time.Duration
-	var sendErr error
-	for qi := 0; qi < nq; qi++ {
-		q := queries.At(qi)
-		var routes []vptree.Route
-		metrics.Phase(&routeT, func() { routes = route(qi, q) })
-		msg := queryMsg{QueryID: uint32(qi), K: uint16(k), Vec: q}
-		metrics.Phase(&sendT, func() {
-			for _, rt := range routes {
-				target := rt.Partition
-				if r > 1 {
-					target = (rt.Partition + next[rt.Partition]) % p
-					next[rt.Partition] = (next[rt.Partition] + 1) % r
-				}
-				msg.Partition = int32(rt.Partition)
-				// the node (worker rank) hosting the target core
-				rank := target/cpn + 1
-				if err := c.Send(rank, tagQuery, encodeQuery(msg)); err != nil {
-					sendErr = err
-					return
-				}
-				d.cfg.Trace.Emitf(0, "dispatch", "q%d -> partition %d on rank %d", qi, rt.Partition, target/cpn+1)
-				dispatched++
-			}
-		})
-		if sendErr != nil {
-			return nil, sendErr
-		}
-	}
-	for w := 1; w < c.Size(); w++ {
-		if err := c.Send(w, tagEOQ, nil); err != nil {
-			return nil, err
-		}
-	}
-
-	// Collect.
-	res := &BatchResult{
-		Results:            make([][]topk.Result, nq),
-		PerWorkerQueries:   make([]int64, workers),
-		PerWorkerDistComps: make([]int64, workers),
-		PerWorkerHops:      make([]int64, workers),
-		Dispatched:         dispatched,
-	}
-	collectors := make([]*topk.Collector, nq)
-	for i := range collectors {
-		collectors[i] = topk.New(k)
-	}
-	// Collection loop. Workers always report Done — even after internal
-	// errors — with the count of tasks they actually processed, so the
-	// master terminates on (all Dones received) && (all reported results
-	// received) rather than on the dispatched count; a failing worker
-	// degrades results instead of wedging the batch.
-	var recvT time.Duration
-	var totalAcc int64
-	var recvErr error
-	metrics.Phase(&recvT, func() {
-		dones := 0
-		var resultsSeen, resultsExpected int64
-		resultsExpected = -1 // unknown until all Dones arrive
-		for {
-			if dones == c.Size()-1 && (d.cfg.OneSided || resultsSeen == resultsExpected) {
-				return
-			}
-			pay, st, err := c.RecvTags(cluster.Any, tagResult, tagDone)
-			if err != nil {
-				recvErr = err
-				return
-			}
-			switch st.Tag {
-			case tagDone:
-				dn, err := decodeDone(pay)
-				if err != nil || dn.Seq != hdr.Seq {
-					continue // stale round (can only happen after FT batches)
-				}
-				res.PerWorkerQueries[st.Source-1] += dn.Processed
-				res.PerWorkerDistComps[st.Source-1] += dn.DistComps
-				res.PerWorkerHops[st.Source-1] += dn.Hops
-				totalAcc += dn.Accumulates
-				res.Work.DistComps += dn.DistComps
-				res.Work.Hops += dn.Hops
-				dones++
-				if dones == c.Size()-1 {
-					resultsExpected = 0
-					for _, n := range res.PerWorkerQueries {
-						resultsExpected += n
-					}
-					if d.cfg.OneSided {
-						resultsExpected = 0
-					}
-				}
-			case tagResult:
-				rm, err := decodeResult(pay)
-				if err != nil || rm.Seq != hdr.Seq {
-					continue
-				}
-				resultsSeen++
-				for _, x := range rm.Results {
-					collectors[rm.QueryID].PushResult(x)
-				}
-			}
-		}
-	})
-	if recvErr != nil {
-		return nil, recvErr
-	}
-	if d.cfg.OneSided {
-		metrics.Phase(&recvT, func() {
-			win.WaitApplied(totalAcc)
-			for qi := 0; qi < nq; qi++ {
-				slot := win.Read(qi)
-				if slot == nil {
-					continue
-				}
-				rm, err := decodeResult(slot)
-				if err != nil {
-					continue
-				}
-				for _, x := range rm.Results {
-					collectors[qi].PushResult(x)
-				}
-			}
-		})
-		if err := win.Free(); err != nil {
-			return nil, err
-		}
-	}
-	for i, col := range collectors {
-		res.Results[i] = col.Results()
-	}
-	res.Elapsed = time.Since(t0)
-	d.cfg.Trace.Emitf(0, "batch", "done in %v (%d tasks)", res.Elapsed, dispatched)
-	res.Breakdown = metrics.Breakdown{
-		Route:   routeT,
-		Comm:    commT + sendT + recvT,
-		Compute: 0,
-		Total:   res.Elapsed,
-	}
-	return res, nil
-}
-
-// shutdown tells the workers to exit their loops.
-func (m *Master) shutdown() error {
-	return sendShutdown(m.d.comm)
 }
 
 // sendShutdown delivers the Shutdown header to every worker still alive.
@@ -747,9 +542,10 @@ func (d *Distributed) serveBatch(hdr batchHeader) error {
 			break
 		}
 	}
-	// Report Done even after an internal error: the master sizes its
-	// collection on the processed counts, so a failing worker degrades
-	// results instead of deadlocking the batch.
+	// Report Done even after an internal error: it closes the round for
+	// the master, and a count short of what was sent tells it tasks were
+	// lost, so a failing worker degrades results instead of deadlocking
+	// the batch.
 	d.cfg.Trace.Emitf(c.Rank(), "done", "%d tasks processed", processed.Load())
 	if err := c.Send(0, tagDone, encodeDone(workerDone{
 		Seq:         hdr.Seq,

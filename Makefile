@@ -14,7 +14,9 @@ bin:
 	$(GO) build -o $(BIN)/ ./cmd/...
 
 # Quick loop: vet plus the short test suite. Fault-injection and other
-# timing-dependent integration tests honor -short and are skipped here.
+# timing-dependent integration tests honor -short and are skipped here,
+# as is the TCP deployment smoke test (cmd/annmaster), which builds the
+# binaries and runs them as processes.
 fast: vet
 	$(GO) test -short ./...
 

@@ -2,13 +2,19 @@
 // distributed engine. Start one master (rank 0) and P workers:
 //
 //	annmaster -addrs host0:7000,host1:7000,host2:7000 -data sift.fvecs \
-//	          -queries sift_query.fvecs -k 10
+//	          -queries sift_query.fvecs -k 10 -replication 2
 //	annworker -rank 1 -addrs host0:7000,host1:7000,host2:7000
 //	annworker -rank 2 -addrs host0:7000,host1:7000,host2:7000
 //
-// The master scatters the dataset, drives the distributed VP-tree +
-// HNSW construction (Algorithms 1-2), answers the query batch with the
-// master-worker protocol (Algorithms 3-5) and prints results/recall.
+// The master's join message tells every worker what to do, so the
+// settings the ranks must agree on are given here only: -replication,
+// -seed, -checkpoint and -resume (the two directories are rank 0's
+// paths, resolved on every worker's host). Each worker sets only its own
+// searcher threads (annworker -threads). The master scatters the
+// dataset, drives the distributed VP-tree + HNSW construction
+// (Algorithms 1-2) or has the workers load the checkpoint, answers the
+// query batch with the master-worker protocol (Algorithms 3-5) and
+// prints results/recall.
 package main
 
 import (
@@ -37,12 +43,11 @@ func main() {
 		limit   = flag.Int("limit", 0, "load at most this many points")
 		k       = flag.Int("k", 10, "neighbors per query")
 		nprobe  = flag.Int("nprobe", 2, "partitions searched per query")
-		repl    = flag.Int("replication", 1, "replication factor for load balancing")
-		threads = flag.Int("threads", 4, "searcher threads per worker")
-		seed    = flag.Int64("seed", 1, "construction seed")
+		repl    = flag.Int("replication", 1, "replication factor for load balancing (every worker builds with it)")
+		seed    = flag.Int64("seed", 1, "construction seed (every worker builds with it)")
 		wait    = flag.Duration("wait", 60*time.Second, "worker dial timeout")
-		ckpt    = flag.String("checkpoint", "", "save the built index under this directory")
-		resume  = flag.String("resume", "", "serve from a checkpoint directory instead of building")
+		ckpt    = flag.String("checkpoint", "", "every worker saves its built partition under this directory")
+		resume  = flag.String("resume", "", "serve from this checkpoint directory instead of building (every worker loads it)")
 		traceTo = flag.String("trace", "", "write a master-side event timeline to this file")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second,
@@ -82,7 +87,6 @@ func main() {
 	cfg.K = *k
 	cfg.NProbe = *nprobe
 	cfg.Replication = *repl
-	cfg.ThreadsPerWorker = *threads
 	cfg.Seed = *seed
 	cfg.CheckpointDir = *ckpt
 	cfg.QueryTimeout = *queryTimeout

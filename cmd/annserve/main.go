@@ -130,8 +130,7 @@ func main() {
 		workerWait   = flag.Duration("worker-wait", 60*time.Second, "worker dial timeout (distributed mode)")
 		clusterK     = flag.Int("cluster-k", 10, "neighbors per query the cluster serves (distributed mode)")
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second, "per-round failover deadline (distributed mode; 0 = no round deadline; dead workers are still detected)")
-		repl         = flag.Int("replication", 1, "replication factor (distributed mode)")
-		wthreads     = flag.Int("worker-threads", 4, "searcher threads per worker (distributed mode)")
+		repl         = flag.Int("replication", 1, "replication factor (distributed mode; every worker builds with it, or must have checkpointed it)")
 
 		nprobe  = flag.Int("nprobe", 0, "override partitions searched per query")
 		ef      = flag.Int("ef", 0, "override HNSW efSearch (single-process mode)")
@@ -361,7 +360,6 @@ func main() {
 	cfg.K = *clusterK
 	cfg.NProbe = *nprobe
 	cfg.Replication = *repl
-	cfg.ThreadsPerWorker = *wthreads
 	cfg.QueryTimeout = *queryTimeout
 	if *nprobe <= 0 {
 		cfg.NProbe = 2

@@ -1,9 +1,16 @@
 // annworker runs one worker of a TCP deployment, in one of two modes.
 //
 // Rank mode (the default; see annmaster for the full invocation): the
-// worker receives its shard from the master, participates in the
-// distributed VP-tree construction, builds its local HNSW index, and
-// serves query batches until the master shuts the cluster down.
+// worker joins the cluster and does what rank 0's join message says —
+// build (receive its shard, take part in the distributed VP-tree
+// construction, build its local HNSW index, save it if rank 0 names a
+// checkpoint directory) or load its partition from the checkpoint rank 0
+// resumes — then serves query batches until the master shuts the
+// cluster down. The replication factor, seed, metric, HNSW settings and
+// checkpoint paths are all rank 0's; a worker's own flags set only its
+// searcher threads and its transport:
+//
+//	annworker -rank 1 -addrs host0:7000,host1:7000,host2:7000 -threads 4
 //
 // Serve mode (-serve): the worker loads a prebuilt index (annbuild) as
 // one shard of a sharded serving deployment and answers batched
@@ -35,14 +42,8 @@ func main() {
 	var (
 		rank    = flag.Int("rank", 0, "this worker's rank (1..P; required)")
 		addrs   = flag.String("addrs", "", "comma-separated rank addresses (required)")
-		k       = flag.Int("k", 10, "neighbors per query (must match the master)")
-		nprobe  = flag.Int("nprobe", 2, "must match the master")
-		repl    = flag.Int("replication", 1, "must match the master")
 		threads = flag.Int("threads", 4, "searcher threads")
-		seed    = flag.Int64("seed", 1, "must match the master")
 		wait    = flag.Duration("wait", 60*time.Second, "peer dial timeout")
-		ckpt    = flag.String("checkpoint", "", "save the built index under this directory")
-		resume  = flag.String("resume", "", "serve from a checkpoint directory instead of building")
 
 		hbInterval = flag.Duration("hb-interval", time.Second, "TCP heartbeat period (negative disables)")
 		hbTimeout  = flag.Duration("hb-timeout", 5*time.Second, "declare a silent peer dead after this long")
@@ -51,20 +52,12 @@ func main() {
 		listen    = flag.String("listen", ":7100", "shard RPC listen address (serve mode)")
 		indexPath = flag.String("index", "", "index file from annbuild (serve mode; required)")
 		shard     = flag.Int("shard", 0, "this worker's shard number in the gateway's -shards map (serve mode)")
+		nprobe    = flag.Int("nprobe", 0, "override partitions searched per query (serve mode; 0 = keep the index's setting)")
 		ef        = flag.Int("ef", 0, "override HNSW efSearch (serve mode)")
 	)
 	flag.Parse()
 	if *serveMode {
-		// -nprobe is shared with rank mode, where its default (2) is
-		// meaningful; in serve mode the loaded index keeps its own
-		// setting unless the flag was given explicitly.
-		np := 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nprobe" {
-				np = *nprobe
-			}
-		})
-		runShardServer(*listen, *indexPath, *shard, *threads, np, *ef)
+		runShardServer(*listen, *indexPath, *shard, *threads, *nprobe, *ef)
 		return
 	}
 	log.SetPrefix(fmt.Sprintf("annworker[%d]: ", *rank))
@@ -83,23 +76,9 @@ func main() {
 	}
 	defer node.Close()
 
-	cfg := core.DefaultConfig(len(list) - 1)
-	cfg.K = *k
-	cfg.NProbe = *nprobe
-	cfg.Replication = *repl
-	cfg.ThreadsPerWorker = *threads
-	cfg.Seed = *seed
-
-	cfg.CheckpointDir = *ckpt
 	log.Printf("joined cluster of %d ranks, serving", len(list))
-	var err2 error
-	if *resume != "" {
-		err2 = core.RunClusterFromCheckpoint(comm, *resume, cfg, nil)
-	} else {
-		err2 = core.RunCluster(comm, nil, cfg, nil)
-	}
-	if err2 != nil {
-		log.Fatal(err2)
+	if err := core.RunCluster(comm, nil, core.Config{ThreadsPerWorker: *threads}, nil); err != nil {
+		log.Fatal(err)
 	}
 	log.Printf("shut down cleanly")
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -139,44 +138,8 @@ func (c *Comm) AlltoAllv(out [][]byte) ([][]byte, error) {
 	return in, nil
 }
 
-// ReduceOp combines two accumulator values.
-type ReduceOp func(a, b float64) float64
-
-// Standard reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
-	OpMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
-)
-
-// Allreduce combines x across all ranks with op and returns the result on
-// every rank (gather at 0, reduce, broadcast).
-func (c *Comm) Allreduce(x float64, op ReduceOp) (float64, error) {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-	parts, err := c.Gatherv(0, buf)
-	if err != nil {
-		return 0, err
-	}
-	var res float64
-	if c.rank == 0 {
-		res = x
-		for i, p := range parts {
-			if i == 0 {
-				continue
-			}
-			res = op(res, math.Float64frombits(binary.LittleEndian.Uint64(p)))
-		}
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(res))
-	}
-	out, err := c.Bcast(0, buf)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(out)), nil
-}
-
-// AllreduceInt64 is Allreduce for integer counters (exact).
+// AllreduceInt64 combines x across all ranks with op and returns the
+// result on every rank (gather at 0, reduce, broadcast).
 func (c *Comm) AllreduceInt64(x int64, op func(a, b int64) int64) (int64, error) {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(x))

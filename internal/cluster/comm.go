@@ -12,10 +12,12 @@
 //     deployments.
 //
 // The API mirrors the MPI subset the paper uses: Send/Recv with tags and
-// wildcards, non-blocking Isend/Irecv with Test/Wait (Algorithm 4's
-// polling loop), collectives (Barrier, Bcast, Gatherv, AlltoAllv,
-// Allreduce — Algorithm 2's shuffle is an AlltoAllv), communicator Split
-// for the recursive halving in the distributed VP-tree construction, and
+// wildcards (Algorithm 4's MPI_Test polling loop is one blocking
+// RecvTags over the query and End-of-Queries tags, and RecvTagsWatch adds
+// the deadline and watch set the master closes a round with), collectives
+// (Barrier, Bcast, Gatherv, Scatterv, AlltoAllv, AllreduceInt64 —
+// Algorithm 2's shuffle is an AlltoAllv), communicator Split for the
+// recursive halving in the distributed VP-tree construction, and
 // one-sided windows with atomic accumulate (window.go) standing in for
 // MPI_Win_lock/MPI_Get_accumulate.
 //
@@ -31,7 +33,7 @@ import (
 	"time"
 )
 
-// Any is the wildcard source or tag for Recv/Irecv/Probe, mirroring
+// Any is the wildcard source or tag for Recv and TryRecv, mirroring
 // MPI_ANY_SOURCE / MPI_ANY_TAG.
 const Any = -1
 
@@ -390,32 +392,12 @@ func (c *Comm) Recv(from, tag int) ([]byte, Status, error) {
 	return e.Payload, c.status(e), nil
 }
 
-// RecvTimeout is Recv with a deadline: it returns ErrTimeout when no
-// matching message arrives within timeout (timeout <= 0 means no
-// deadline) and ErrPeerDown when the sender is detected dead.
-func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) ([]byte, Status, error) {
-	o := takeOpts{block: true, senders: c.sendersOf(from)}
-	if timeout > 0 {
-		o.deadline = time.Now().Add(timeout)
-	}
-	e, _, err := c.t.box().takeWith(c.match(from, tag), o)
-	if err != nil {
-		return nil, Status{}, c.mapDown(err)
-	}
-	return e.Payload, c.status(e), nil
-}
-
 // RecvTags blocks until a message from "from" (or Any) carrying any of
 // the listed user tags arrives. Worker threads use it to wait for either
 // a query or the End-of-Queries command with one blocking call instead
 // of an MPI_Test poll loop.
 func (c *Comm) RecvTags(from int, tags ...int) ([]byte, Status, error) {
 	return c.RecvTagsWatch(from, 0, nil, tags...)
-}
-
-// RecvTagsTimeout is RecvTags with a deadline (timeout <= 0 disables it).
-func (c *Comm) RecvTagsTimeout(from int, timeout time.Duration, tags ...int) ([]byte, Status, error) {
-	return c.RecvTagsWatch(from, timeout, nil, tags...)
 }
 
 // RecvTagsWatch is the deadline- and failure-aware receive the serving
@@ -471,79 +453,6 @@ func (c *Comm) TryRecv(from, tag int) ([]byte, Status, bool, error) {
 	return e.Payload, c.status(e), true, nil
 }
 
-// Probe reports whether a matching message is queued without consuming
-// it.
-func (c *Comm) Probe(from, tag int) bool {
-	box := c.t.box()
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	pred := c.match(from, tag)
-	for i := range box.q {
-		if pred(&box.q[i]) {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Comm) status(e Envelope) Status {
 	return Status{Source: c.localOf(e.From), Tag: int(e.Tag), Bytes: len(e.Payload)}
 }
-
-// Request is a non-blocking receive in progress, in the style of
-// MPI_Irecv + MPI_Test/MPI_Wait. (Sends complete immediately in this
-// runtime, so only receives need requests.)
-type Request struct {
-	c         *Comm
-	from, tag int
-	done      bool
-	payload   []byte
-	status    Status
-	err       error
-	cancelled bool
-}
-
-// Irecv posts a non-blocking receive.
-func (c *Comm) Irecv(from, tag int) *Request {
-	return &Request{c: c, from: from, tag: tag}
-}
-
-// Test polls the request; it returns true once a message has been
-// matched (payload available via Payload).
-func (r *Request) Test() bool {
-	if r.done || r.cancelled {
-		return r.done
-	}
-	p, st, ok, err := r.c.TryRecv(r.from, r.tag)
-	if err != nil {
-		r.err, r.done = err, true
-		return true
-	}
-	if ok {
-		r.payload, r.status, r.done = p, st, true
-	}
-	return r.done
-}
-
-// Wait blocks until the request completes.
-func (r *Request) Wait() ([]byte, Status, error) {
-	if r.cancelled {
-		return nil, Status{}, errors.New("cluster: request cancelled")
-	}
-	if !r.done {
-		p, st, err := r.c.Recv(r.from, r.tag)
-		r.payload, r.status, r.err, r.done = p, st, err, true
-	}
-	return r.payload, r.status, r.err
-}
-
-// Cancel abandons an incomplete request (MPI_Cancel); the message, if it
-// ever arrives, stays in the mailbox for other receivers.
-func (r *Request) Cancel() {
-	if !r.done {
-		r.cancelled = true
-	}
-}
-
-// Payload returns the received bytes after Test reported completion.
-func (r *Request) Payload() ([]byte, Status, error) { return r.payload, r.status, r.err }

@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// TestRecvTimeout checks the deadline receive both ways: expiry with no
+// TestRecvTimeout checks the deadline of RecvTagsWatch — the receive
+// that closes a master's collection round — both ways: expiry with no
 // traffic, and normal delivery well inside the deadline.
 func TestRecvTimeout(t *testing.T) {
 	w := NewWorld(2)
@@ -17,7 +18,7 @@ func TestRecvTimeout(t *testing.T) {
 	c1 := w.Comm(1)
 
 	start := time.Now()
-	_, _, err := c0.RecvTimeout(1, 7, 50*time.Millisecond)
+	_, _, err := c0.RecvTagsWatch(1, 50*time.Millisecond, nil, 7)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want ErrTimeout, got %v", err)
 	}
@@ -28,7 +29,7 @@ func TestRecvTimeout(t *testing.T) {
 	if err := c1.Send(0, 7, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	p, st, err := c0.RecvTimeout(1, 7, 5*time.Second)
+	p, st, err := c0.RecvTagsWatch(1, 5*time.Second, nil, 7)
 	if err != nil || string(p) != "x" || st.Source != 1 {
 		t.Fatalf("got %q %+v %v", p, st, err)
 	}

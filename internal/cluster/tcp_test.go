@@ -94,7 +94,7 @@ func TestTCPCollectives(t *testing.T) {
 		if string(got) != "hello" {
 			return fmt.Errorf("bcast got %q", got)
 		}
-		sum, err := c.Allreduce(float64(c.Rank()), OpSum)
+		sum, err := c.AllreduceInt64(int64(c.Rank()), func(a, b int64) int64 { return a + b })
 		if err != nil {
 			return err
 		}

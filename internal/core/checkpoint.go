@@ -179,24 +179,13 @@ func LoadCheckpointTree(dir string) (*vptree.PartitionTree, error) {
 }
 
 // RunClusterFromCheckpoint serves batches from a checkpoint directory:
-// rank 0 loads the tree and drives; ranks 1..P load part-(rank-1).ann.
-// The replication factor is implied by the checkpoint contents and must
-// match cfg.Replication.
+// rank 0 sends every worker the join naming dir, loads the tree and
+// drives; ranks 1..P load part-(rank-1).ann from the directory the join
+// names, whichever entry point they called, so dir is rank 0's path,
+// resolved on every host. A worker whose file holds fewer replicas than
+// rank 0's Replication fails here, at startup.
 func RunClusterFromCheckpoint(c *cluster.Comm, dir string, cfg Config, driver func(*Master) error) error {
-	if c.Size() < 2 {
-		return fmt.Errorf("core: need at least 1 master + 1 worker")
-	}
-	cfg.Partitions = c.Size() - 1
-	d, err := loadCluster(c, dir, cfg)
-	if err != nil {
-		if c.Rank() == 0 {
-			// Workers that loaded successfully must not wait forever
-			// for a batch.
-			_ = sendShutdown(c)
-		}
-		return err
-	}
-	return d.serve(driver)
+	return runCluster(c, nil, dir, cfg, driver)
 }
 
 // loadCluster reads this rank's share of a checkpoint: the routing tree
@@ -211,9 +200,6 @@ func loadCluster(c *cluster.Comm, dir string, cfg Config) (*Distributed, error) 
 			return nil, fmt.Errorf("core: checkpoint has %d partitions, cluster has %d workers",
 				tree.Leaves, cfg.Partitions)
 		}
-		if err := cfg.fill(tree.Dim); err != nil {
-			return nil, err
-		}
 		return &Distributed{comm: c, cfg: cfg, dim: tree.Dim, tree: tree}, nil
 	}
 	b, err := LoadCheckpoint(dir, c.Rank()-1)
@@ -224,9 +210,5 @@ func loadCluster(c *cluster.Comm, dir string, cfg Config) (*Distributed, error) 
 		return nil, fmt.Errorf("core: checkpoint replication %d < configured %d",
 			len(b.Replicas), cfg.Replication)
 	}
-	dim := b.Index.Dim()
-	if err := cfg.fill(dim); err != nil {
-		return nil, err
-	}
-	return &Distributed{comm: c, cfg: cfg, dim: dim, builtB: b}, nil
+	return &Distributed{comm: c, cfg: cfg, dim: b.Index.Dim(), builtB: b}, nil
 }

@@ -18,6 +18,8 @@
 //     experiment and by the TCP deployment. RunClusterPrebuilt and
 //     RunClusterFromCheckpoint replace its construction and share its
 //     lifecycle: rank 0 drives and then shuts down, the others serve.
+//     RunCluster and RunClusterFromCheckpoint open with rank 0's join,
+//     which tells every worker what to build or load.
 //   - RunMultipleOwner: the multiple-owner variant the paper discusses in
 //     Section IV.
 package core
@@ -44,19 +46,6 @@ const (
 	RouteAdaptive
 )
 
-// Strategy selects the coordination scheme.
-type Strategy int
-
-const (
-	// MasterWorker is the paper's main design: one master routes all
-	// queries (Algorithm 3), workers search (Algorithm 4).
-	MasterWorker Strategy = iota
-	// MultipleOwner shares the VP tree among all ranks; each query is
-	// owned by hash (Section IV, discussed and measured as slightly
-	// better at low core counts but worse at scale).
-	MultipleOwner
-)
-
 // Config parameterises the engine.
 type Config struct {
 	// K is the number of neighbors per query (the paper uses 10).
@@ -68,10 +57,13 @@ type Config struct {
 	// Routing selects the routing mode.
 	Routing RoutingMode
 	// Replication is the load-balancing replication factor r (Section
-	// IV-C2); 1 means no replication.
+	// IV-C2); 1 means no replication. RunCluster and
+	// RunClusterFromCheckpoint use rank 0's, for the master's replica
+	// choice and for what every worker builds or must have checkpointed.
 	Replication int
 	// ThreadsPerWorker is the number of searcher goroutines per worker
-	// rank — the OpenMP threads of the paper (default 1).
+	// rank — the OpenMP threads of the paper (default 1). Each worker
+	// reads its own; rank 0's is never read.
 	ThreadsPerWorker int
 	// CoresPerNode groups partitions into compute nodes (Figure 1 of the
 	// paper: a node with cores {p1..pn} hosts partitions {D1..Dn}, all
@@ -86,10 +78,11 @@ type Config struct {
 	// failure-safe, so a batch uses one only when QueryTimeout is 0 and
 	// every worker is alive; otherwise it collects two-sided.
 	OneSided bool
-	// Metric is the distance metric (the paper uses L2 everywhere).
+	// Metric is the distance metric (the paper uses L2 everywhere); rank
+	// 0's in a RunCluster build.
 	Metric vec.Metric
 	// HNSW configures the local indexes; zero value means
-	// hnsw.DefaultConfig(Metric).
+	// hnsw.DefaultConfig(Metric). A RunCluster build uses rank 0's.
 	HNSW hnsw.Config
 	// LocalIndex selects the per-partition index algorithm for the
 	// single-process Engine: "hnsw" (default, the paper's choice), or
@@ -111,11 +104,13 @@ type Config struct {
 	// re-ranks that many candidates, 0 defaults to 4*k per query, <0
 	// disables quantized scoring (exact float32 scoring throughout).
 	RerankK int
-	// Seed makes partitioning and index construction reproducible.
+	// Seed makes partitioning and index construction reproducible; a
+	// RunCluster build uses rank 0's.
 	Seed int64
-	// CheckpointDir, when non-empty, makes every worker save its built
-	// partition (and rank 0 the routing tree) there after construction;
-	// RunClusterFromCheckpoint restarts a cluster from the directory.
+	// CheckpointDir, when non-empty, makes every worker of a RunCluster
+	// build save its partition there (and the workers' first rank the
+	// routing tree); RunClusterFromCheckpoint restarts a cluster from the
+	// directory. It is rank 0's path, resolved on every host.
 	CheckpointDir string
 	// Trace, when non-nil, records master and worker events (routing,
 	// dispatch, task execution, completion) for timeline inspection.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -42,19 +43,114 @@ func (d *Distributed) nextSeq() uint32 {
 }
 
 // RunCluster is the lifecycle entry point: every rank of c calls it.
-// Rank 0 scatters ds, waits for the distributed build, then runs driver
-// with a Master handle; other ranks serve as workers until the driver
-// returns. ds and the driver are only consulted on rank 0.
+// Rank 0 sends every worker the join (see joinMsg), scatters ds, waits
+// for the distributed build, then runs driver with a Master handle; the
+// other ranks build as the join says and serve as workers until the
+// driver returns. ds and the driver are only consulted on rank 0, and a
+// worker takes only ThreadsPerWorker and Trace from its own cfg.
 func RunCluster(c *cluster.Comm, ds *vec.Dataset, cfg Config, driver func(*Master) error) error {
+	return runCluster(c, ds, "", cfg, driver)
+}
+
+// runCluster is the lifecycle both RunCluster and
+// RunClusterFromCheckpoint run: the join, then a build from ds or a load
+// from the resume directory, whichever rank 0 asked for, then serve.
+func runCluster(c *cluster.Comm, ds *vec.Dataset, resume string, cfg Config, driver func(*Master) error) error {
 	if c.Size() < 2 {
 		return fmt.Errorf("core: need at least 1 master + 1 worker, got %d ranks", c.Size())
 	}
 	cfg.Partitions = c.Size() - 1
-	d, err := buildCluster(c, ds, cfg)
+	d, err := startCluster(c, ds, resume, cfg)
 	if err != nil {
+		if c.Rank() == 0 {
+			// Workers that got this far must not wait forever for a
+			// batch (or, before the join, for the join).
+			_ = sendShutdown(c)
+		}
 		return err
 	}
 	return d.serve(driver)
+}
+
+// joinMsg is rank 0's word on what every worker builds or loads, the
+// first message of a RunCluster or RunClusterFromCheckpoint run. The
+// paper's MPI ranks share one argv; the processes of a TCP deployment do
+// not, so every setting the ranks must agree on travels from rank 0
+// here instead of coming from each worker's own Config.
+type joinMsg struct {
+	Dim           int    // dataset dimension; 0 when resuming (the checkpoint holds it)
+	Resume        string // checkpoint directory to load; "" = build
+	Replication   int
+	Seed          int64
+	Metric        vec.Metric
+	HNSW          hnsw.Config
+	CheckpointDir string
+}
+
+// config is the Config a worker runs with: rank 0's settings, plus the
+// worker's own ThreadsPerWorker and Trace.
+func (j joinMsg) config(own Config) Config {
+	return Config{
+		Partitions:       own.Partitions,
+		Replication:      j.Replication,
+		Seed:             j.Seed,
+		Metric:           j.Metric,
+		HNSW:             j.HNSW,
+		CheckpointDir:    j.CheckpointDir,
+		ThreadsPerWorker: own.ThreadsPerWorker,
+		Trace:            own.Trace,
+	}
+}
+
+// startCluster runs the join and then builds or loads this rank's share
+// of the cluster. Rank 0 sends the join before it loads anything, point
+// to point to each live worker, so a worker that is already down is
+// skipped rather than failing the run; a worker waits for it from rank 0
+// alone, so a dead master ends the wait.
+func startCluster(c *cluster.Comm, ds *vec.Dataset, resume string, cfg Config) (*Distributed, error) {
+	var j joinMsg
+	if c.Rank() == 0 {
+		dim := 0
+		if resume == "" {
+			if ds == nil || ds.Len() < cfg.Partitions {
+				return nil, fmt.Errorf("core: master needs a dataset with at least %d points", cfg.Partitions)
+			}
+			dim = ds.Dim
+		}
+		if err := cfg.fill(dim); err != nil {
+			return nil, err
+		}
+		j = joinMsg{
+			Dim: dim, Resume: resume, Replication: cfg.Replication, Seed: cfg.Seed,
+			Metric: cfg.Metric, HNSW: cfg.HNSW, CheckpointDir: cfg.CheckpointDir,
+		}
+		raw, err := json.Marshal(j)
+		if err != nil {
+			return nil, err
+		}
+		if err := sendLive(c, tagJoin, raw); err != nil {
+			return nil, err
+		}
+	} else {
+		raw, st, err := c.RecvTags(0, tagJoin, tagHeader)
+		if err != nil {
+			return nil, err
+		}
+		if st.Tag == tagHeader {
+			return nil, errors.New("core: rank 0 shut the cluster down before the join")
+		}
+		if err := json.Unmarshal(raw, &j); err != nil {
+			return nil, fmt.Errorf("core: malformed join message: %w", err)
+		}
+		cfg = j.config(cfg)
+		if err := cfg.fill(j.Dim); err != nil {
+			return nil, err
+		}
+	}
+	if j.Resume != "" {
+		return loadCluster(c, j.Resume, cfg)
+	}
+	return buildCluster(c, ds, j.Dim, cfg)
 }
 
 // serve is the lifecycle every cluster entry point ends in: rank 0 runs
@@ -72,25 +168,8 @@ func (d *Distributed) serve(driver func(*Master) error) error {
 }
 
 // buildCluster distributes the dataset and builds the index structures.
-func buildCluster(c *cluster.Comm, ds *vec.Dataset, cfg Config) (*Distributed, error) {
-	// Broadcast dimension so workers can size things.
-	var hdr []byte
-	if c.Rank() == 0 {
-		if ds == nil || ds.Len() < cfg.Partitions {
-			return nil, fmt.Errorf("core: master needs a dataset with at least %d points", cfg.Partitions)
-		}
-		hdr = make([]byte, 8)
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(ds.Dim))
-	}
-	hdr, err := c.Bcast(0, hdr)
-	if err != nil {
-		return nil, err
-	}
-	dim := int(binary.LittleEndian.Uint32(hdr[0:]))
+func buildCluster(c *cluster.Comm, ds *vec.Dataset, dim int, cfg Config) (*Distributed, error) {
 	d := &Distributed{comm: c, cfg: cfg, dim: dim}
-	if err := d.cfg.fill(dim); err != nil {
-		return nil, err
-	}
 
 	// Master scatters shards to the workers (equi-partitioning).
 	if c.Rank() == 0 {
@@ -382,16 +461,20 @@ func (m *Master) searchAdaptive(queries *vec.Dataset) (*BatchResult, error) {
 }
 
 // sendShutdown delivers the Shutdown header to every worker still alive.
-// Dead workers are skipped and races with death are tolerated: a
-// shutdown must never fail the run over a rank that is already gone.
 func sendShutdown(c *cluster.Comm) error {
+	return sendLive(c, tagHeader, encodeHeader(batchHeader{Shutdown: true}))
+}
+
+// sendLive sends payload to every worker still alive. Dead workers are
+// skipped and races with death are tolerated: neither the join nor a
+// shutdown may fail the run over a rank that is already gone.
+func sendLive(c *cluster.Comm, tag int, payload []byte) error {
 	var firstErr error
-	enc := encodeHeader(batchHeader{Shutdown: true})
 	for w := 1; w < c.Size(); w++ {
 		if c.IsDown(w) {
 			continue
 		}
-		if err := c.Send(w, tagHeader, enc); err != nil && !errors.Is(err, cluster.ErrPeerDown) && firstErr == nil {
+		if err := c.Send(w, tag, payload); err != nil && !errors.Is(err, cluster.ErrPeerDown) && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -30,6 +30,7 @@ const (
 	tagHeader = 9 // master -> worker: batchHeader (per-worker, replaces Bcast
 	// so the master can address retry rounds to a subset of workers and
 	// tolerate dead ranks)
+	tagJoin = 10 // master -> worker: joinMsg, the first message of a run
 )
 
 // queryMsg is a routed query dispatched to one partition host.

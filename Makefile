@@ -79,11 +79,14 @@ bench-smoke:
 	$(GO) run ./cmd/annbench -json /tmp/bench-smoke.json -points 20000 -queries 400 -gate
 
 # Parent-vs-change on one annload workload, the way a performance PR is
-# judged: PAIRS alternating runs of `bench/run.sh --trace 0` on a git
-# worktree of PARENT and on the working tree, then per end-to-end metric
-# both sides' median and quartiles, the pair win count and the relative
-# difference beside the bound from BENCHMARK.json. About a minute per
-# pair. Example: make bench-pair PARENT=main WORKLOAD=hybrid
+# judged, with an A/A control: PAIRS rounds of `bench/run.sh --trace 0`
+# on two plain git clones of PARENT and on the working tree, in an order
+# that rotates across rounds, then per end-to-end metric the parent's and
+# the change's median and quartiles, the pair win count and the relative
+# difference beside the bound from BENCHMARK.json, next to the same win
+# count and difference for the second parent clone against the first.
+# About a minute and a half per pair (three runs). Example:
+# make bench-pair PARENT=main WORKLOAD=hybrid
 PARENT ?= HEAD~1
 WORKLOAD ?= hybrid
 PAIRS ?= 10

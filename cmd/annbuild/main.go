@@ -97,7 +97,8 @@ func main() {
 }
 
 // reportFrozen freezes the just-built engine with SQ8 on and prints what
-// serving it frozen would cost and return: arena footprint and recall@10
+// serving it frozen would cost and return: the bytes the frozen layout
+// adds (adjacency and SQ8 codes; the rows are the graph's) and recall@10
 // of the quantized path against the scalar path over sampled rows.
 func reportFrozen(e *core.Engine, ds *vec.Dataset) {
 	const k, samples = 10, 100
@@ -139,7 +140,7 @@ func reportFrozen(e *core.Engine, ds *vec.Dataset) {
 		}
 	}
 	fi, _ := e.FrozenInfo()
-	fmt.Printf("frozen report: froze %d partitions in %v, %.1f MiB arena (sq8)\n",
+	fmt.Printf("frozen report: froze %d partitions in %v, %.1f MiB adjacency+codes (sq8)\n",
 		fi.Partitions, froze.Round(time.Millisecond), float64(fi.ArenaBytes)/(1<<20))
 	if want > 0 {
 		fmt.Printf("frozen report: sq8 recall@%d vs scalar = %.4f over %d sampled queries (rerank ratio %.2f)\n",

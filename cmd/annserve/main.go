@@ -137,7 +137,7 @@ func main() {
 		threads = flag.Int("threads", 0, "search threads per batch round (0 = GOMAXPROCS)")
 
 		lexOn   = flag.Bool("lexical", false, "single-process mode: enable hybrid retrieval — upsert points may carry \"text\" (BM25-indexed, WAL-durable with -wal) and POST /v1/hybrid fuses keyword and vector rankings")
-		frozen  = flag.Bool("frozen", false, "serve from flat frozen layouts: contiguous arena + CSR adjacency, re-frozen across compactions (single-process mode)")
+		frozen  = flag.Bool("frozen", false, "serve from flat frozen layouts: CSR adjacency over the graph's rows, re-frozen across compactions (single-process mode)")
 		sq8     = flag.Bool("sq8", false, "with -frozen: SQ8 quantized first pass + exact re-rank (L2-family metrics)")
 		rerankK = flag.Int("rerank-k", 0, "with -sq8: candidates re-ranked at full precision (>0 fixed, 0 = 4*k per query, <0 = exact scoring)")
 
@@ -296,7 +296,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if fi, ok := e.FrozenInfo(); ok {
-				log.Printf("frozen: %d partitions, %d points flat, %.1f MiB arena, sq8=%v rerank-k=%d",
+				log.Printf("frozen: %d partitions, %d points flat, %.1f MiB adjacency+codes, sq8=%v rerank-k=%d",
 					fi.Partitions, fi.FrozenLen, float64(fi.ArenaBytes)/(1<<20), fi.Quantized, *rerankK)
 			}
 		}

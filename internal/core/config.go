@@ -91,7 +91,7 @@ type Config struct {
 	// always uses HNSW (its replication path ships serialized graphs).
 	LocalIndex string
 	// Frozen lays every partition out flat for serving after
-	// construction (contiguous vector arena + CSR adjacency instead of
+	// construction (CSR adjacency over the graph's own rows instead of
 	// per-node allocations) and re-freezes partitions on every
 	// SwapPartition. Engines restored from disk freeze via
 	// Engine.Freeze instead. HNSW local indexes only.

@@ -8,7 +8,7 @@ import (
 )
 
 // Frozen serving path. Engine.Freeze lays every partition's HNSW graph
-// out flat — one contiguous vector arena, CSR adjacency slabs, and
+// out flat — the graph's own rows read in place, CSR adjacency slabs, and
 // (optionally) an SQ8 code slab scanned during candidate generation
 // with exact float32 re-ranking (DESIGN.md §9). The dynamic paths keep
 // working on top: WAL-replayed inserts land in the underlying graphs
@@ -98,7 +98,7 @@ type FrozenInfo struct {
 	Partitions  int   `json:"partitions"`   // frozen partitions
 	FrozenLen   int   `json:"points"`       // rows served from frozen layouts
 	TailLen     int   `json:"tail_points"`  // rows pending the next re-freeze
-	ArenaBytes  int64 `json:"arena_bytes"`  // total frozen footprint
+	ArenaBytes  int64 `json:"arena_bytes"`  // bytes owned by frozen layouts (adjacency + SQ8 codes), not the graph rows they read
 	Quantized   bool  `json:"sq8"`          // SQ8 first pass active anywhere
 	Searches    int64 `json:"searches"`     // frozen-path searches served
 	QuantComps  int64 `json:"quant_scans"`  // quantized distance evaluations

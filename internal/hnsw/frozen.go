@@ -7,17 +7,21 @@ import (
 	"repro/internal/vec"
 )
 
-// Frozen is the flat, read-only serving layout of a Graph: one
-// contiguous vector arena, per-layer adjacency in CSR form (an offsets
-// slab plus one neighbor slab — no per-node allocations, no pointers,
-// no locks on the hot path), and optionally an SQ8 code slab used for
-// quantized candidate generation with exact float32 re-ranking.
+// Frozen is the flat, read-only serving layout of a Graph: per-layer
+// adjacency in CSR form (an offsets slab plus one neighbor slab — no
+// per-node allocations, no pointers, no locks on the hot path), and
+// optionally an SQ8 code slab used for quantized candidate generation
+// with exact float32 re-ranking. Its full-precision rows and IDs are
+// not a copy: they are capacity-capped views of the graph's own
+// contiguous rows, which Add only ever appends to.
 //
 // A Frozen is an immutable snapshot: it is built once by Graph.Freeze
 // and never mutated, so any number of goroutines may search it
 // concurrently without synchronisation. Writes keep going to the
 // dynamic Graph; the serving layer re-freezes when the delta grows or a
-// partition is swapped (see internal/index.Freeze).
+// partition is swapped (see internal/index.Freeze). When a later Add
+// outgrows the graph's capacity, the old backing array stays alive
+// only as long as this Frozen does.
 type Frozen struct {
 	dim      int
 	metric   vec.Metric
@@ -26,8 +30,8 @@ type Frozen struct {
 	efSearch int
 	rerankK  int
 
-	ids   []int64   // n global IDs
-	arena []float32 // n*dim full-precision vectors, row-major
+	ids   []int64   // n global IDs, the graph's own (shared)
+	arena []float32 // n*dim full-precision rows, the graph's own (shared)
 	codes []uint8   // n*dim SQ8 codes, or nil when quantization is off
 	codec *vec.SQ8
 
@@ -62,7 +66,8 @@ type FreezeOptions struct {
 // Freeze lays the graph out flat for serving. The graph may keep
 // receiving Add calls concurrently; the frozen view captures the rows
 // committed at the time of the call and filters links that point past
-// the snapshot.
+// the snapshot. The rows and IDs are read in place, not copied: snap
+// guarantees that rows below len(nodes) never change.
 func (g *Graph) Freeze(opts FreezeOptions) (*Frozen, error) {
 	g.epMu.RLock()
 	s := g.snapshotLocked()
@@ -85,8 +90,8 @@ func (g *Graph) Freeze(opts FreezeOptions) (*Frozen, error) {
 		f.maxLevel = 0
 		f.entry = 0
 	}
-	f.ids = append([]int64(nil), s.ids[:n]...)
-	f.arena = append([]float32(nil), s.data[:n*s.dim]...)
+	f.ids = s.ids[:n:n]
+	f.arena = s.data[: n*s.dim : n*s.dim]
 
 	// Adjacency: two passes per layer (count, then fill) so each layer
 	// is exactly two allocations.
@@ -160,14 +165,11 @@ func (f *Frozen) Quantized() bool { return f.codec != nil }
 // ID returns the global ID of row i.
 func (f *Frozen) ID(i int) int64 { return f.ids[i] }
 
-// Vector returns row i of the full-precision arena. Callers must not
-// mutate it.
-func (f *Frozen) Vector(i int) []float32 { return f.arena[i*f.dim : (i+1)*f.dim] }
-
-// ArenaBytes returns the memory footprint of the frozen layout: vector
-// arena, SQ8 codes, IDs, and adjacency slabs.
+// ArenaBytes returns the memory the frozen layout owns: adjacency
+// slabs, SQ8 codes and codec. The full-precision rows and IDs it shares
+// with the graph are not counted.
 func (f *Frozen) ArenaBytes() int64 {
-	b := int64(len(f.arena))*4 + int64(len(f.codes)) + int64(len(f.ids))*8
+	b := int64(len(f.codes))
 	for _, l := range f.layers {
 		b += int64(len(l.off))*4 + int64(len(l.nbr))*4
 	}
@@ -178,7 +180,8 @@ func (f *Frozen) ArenaBytes() int64 {
 }
 
 func (f *Frozen) vec(i uint32) []float32 {
-	return f.arena[int(i)*f.dim : (int(i)+1)*f.dim]
+	lo, hi := int(i)*f.dim, (int(i)+1)*f.dim
+	return f.arena[lo:hi:hi]
 }
 
 // Search returns the approximate k nearest neighbors using the beam
@@ -209,7 +212,7 @@ func (f *Frozen) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]to
 // tie-breaking). Otherwise the walk scores SQ8 codes with the integer
 // kernel — 1/4 the memory traffic per candidate — and the top re-rank
 // budget of its admitted candidates is re-scored at full precision
-// against the arena; non-matching rows never occupy re-rank slots.
+// against the graph's rows; non-matching rows never occupy re-rank slots.
 func (f *Frozen) SearchEfFiltered(q []float32, k, ef, rerankK int, keep func(int64) bool) ([]topk.Result, Stats, error) {
 	if err := checkQuery(len(f.ids), f.dim, q, k); err != nil {
 		return nil, Stats{}, err

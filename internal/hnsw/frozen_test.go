@@ -1,9 +1,14 @@
 package hnsw
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
+	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
@@ -251,5 +256,100 @@ func TestFrozenSnapshotIgnoresLaterAdds(t *testing.T) {
 		if r.ID == 999999 {
 			t.Fatal("frozen view surfaced a post-freeze row")
 		}
+	}
+}
+
+// TestFreezeSharesGraphRows: the frozen layout reads the graph's own
+// rows and IDs instead of copying them, and a later Add that regrows the
+// graph's backing array leaves the frozen view's rows, and so its
+// answers, exactly as they were. A fresh Freeze reads the new array.
+func TestFreezeSharesGraphRows(t *testing.T) {
+	const dim = 16
+	ds := frozenTestData(11, 600, dim)
+	g, _, err := Build(ds, DefaultConfig(vec.L2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := g.Freeze(FreezeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := func(f *Frozen, snap *vec.Dataset) bool {
+		return unsafe.SliceData(f.arena) == unsafe.SliceData(snap.Data) &&
+			unsafe.SliceData(f.ids) == unsafe.SliceData(snap.IDs)
+	}
+	before := g.DataSnapshot()
+	if !shares(f, before) {
+		t.Fatal("frozen rows and IDs are a copy, not the graph's own")
+	}
+	rows, ids := slices.Clone(f.arena), slices.Clone(f.ids)
+	queries := frozenTestData(12, 20, dim)
+	search := func(f *Frozen) [][]topk.Result {
+		out := make([][]topk.Result, queries.Len())
+		for i := range out {
+			rs, _, err := f.SearchEf(queries.At(i), 10, 50, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = rs
+		}
+		return out
+	}
+	want := search(f)
+
+	extra := frozenTestData(13, 4*ds.Len(), dim)
+	for i := 0; unsafe.SliceData(g.DataSnapshot().Data) == unsafe.SliceData(before.Data); i++ {
+		if i == extra.Len() {
+			t.Fatal("graph rows were never reallocated")
+		}
+		if _, err := g.Add(extra.At(i), 1_000_000+int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(f.arena) != len(rows) || !slices.Equal(f.ids, ids) {
+		t.Fatalf("frozen view changed shape after regrowth: %d rows, %d IDs", len(f.arena)/dim, len(f.ids))
+	}
+	for i, x := range rows {
+		if math.Float32bits(f.arena[i]) != math.Float32bits(x) {
+			t.Fatalf("frozen row value %d changed after regrowth: %v, want %v", i, f.arena[i], x)
+		}
+	}
+	for i, rs := range search(f) {
+		if !slices.Equal(rs, want[i]) {
+			t.Fatalf("query %d after regrowth: %v, want %v", i, rs, want[i])
+		}
+	}
+
+	f2, err := g.Freeze(FreezeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shares(f2, g.DataSnapshot()) {
+		t.Fatal("refreeze does not read the graph's new backing array")
+	}
+}
+
+// TestFreezeAllocatesNoRowCopy: freezing allocates the CSR adjacency
+// and its per-node link snapshot, but no second copy of the rows. The
+// float rows of 2,000 × 128 are 1,024,000 bytes, so a copy alone would
+// exceed the bound.
+func TestFreezeAllocatesNoRowCopy(t *testing.T) {
+	const n, dim = 2000, 128
+	g, _, err := Build(frozenTestData(21, n, dim), DefaultConfig(vec.L2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := g.Freeze(FreezeOptions{SQ8: false})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rowBytes = n * dim * 4
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Freeze allocated %d B for %d rows (%d B of rows)", got, f.Len(), rowBytes)
+	if got >= rowBytes {
+		t.Fatalf("Freeze allocated %d B, at least the %d B of rows it should read in place", got, rowBytes)
 	}
 }

@@ -137,7 +137,9 @@ type Graph struct {
 
 // snap is an immutable view of the graph as of some moment: the first
 // len(nodes) vertices and their vectors. Slice contents only ever grow,
-// so rows < len(nodes) are stable.
+// so rows < len(nodes) are stable. Freeze relies on this: a Frozen
+// reads those rows in place for as long as it lives, including after a
+// later Add has moved the graph to a larger backing array.
 type snap struct {
 	dim   int
 	data  []float32
@@ -594,7 +596,7 @@ var ctxPool = sync.Pool{New: func() any { return &searchCtx{} }}
 // knows exactly three things about the layout it walks — how to fetch a
 // node's neighbors, how to score a node against the query, and which
 // nodes the caller admits — so the dynamic graph, the frozen float
-// arena and the frozen SQ8 code slab all share it.
+// layout and the frozen SQ8 code slab all share it.
 type walk struct {
 	// neighbors returns the links of node u on layer l: the locked
 	// per-node list restricted to the snapshot (Graph) or a range of

@@ -44,7 +44,7 @@ func newTraversalFixture(tb testing.TB) *traversalFixture {
 }
 
 // search runs one layout of the fixture by name: "dynamic", "frozen"
-// (float arena only) or "frozen_sq8" (SQ8-built; rerankK < 0 scores it
+// (float rows only) or "frozen_sq8" (SQ8-built; rerankK < 0 scores it
 // exactly, 0 runs the quantized pass).
 func (fx *traversalFixture) search(layout string, q []float32, k, ef, rerankK int, keep func(int64) bool) ([]topk.Result, Stats, error) {
 	switch layout {

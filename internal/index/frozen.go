@@ -9,11 +9,11 @@ import (
 	"repro/internal/vec"
 )
 
-// frozenLocal serves a partition from a flat frozen layout (contiguous
-// arena + CSR adjacency + optional SQ8 codes) while the dynamic HNSW
-// graph underneath keeps accepting WAL-replayed inserts. Searches hit
-// the frozen view lock-free; rows appended after the freeze (the
-// "tail") are merged in by an exact linear scan, and when the tail
+// frozenLocal serves a partition from a flat frozen layout (the graph's
+// rows read in place + CSR adjacency + optional SQ8 codes) while the
+// dynamic HNSW graph underneath keeps accepting WAL-replayed inserts.
+// Searches hit the frozen view lock-free; rows appended after the freeze
+// (the "tail") are merged in by an exact linear scan, and when the tail
 // outgrows refreezeThreshold a background re-freeze folds it into a new
 // frozen view, installed with one atomic pointer swap — concurrent
 // searches see either the old or the new view, never a torn one.
@@ -34,7 +34,9 @@ type frozenLocal struct {
 
 // refreezeThreshold is the tail size beyond which a search triggers a
 // background re-freeze: an eighth of the frozen base, floored so small
-// bursts of inserts do not thrash O(n) freezes.
+// bursts of inserts do not thrash O(n) freezes. It also bounds how long
+// the frozen view pins the graph's old row array after an insert has
+// regrown it: until the re-freeze, memory holds old + new arrays.
 func refreezeThreshold(frozenLen int) int {
 	t := frozenLen / 8
 	if t < 256 {
@@ -89,7 +91,7 @@ func SetRerankK(l Local, rr int) {
 type FrozenStats struct {
 	FrozenLen   int   // rows in the frozen view
 	TailLen     int   // rows appended since the freeze
-	ArenaBytes  int64 // frozen layout footprint (arena + codes + adjacency)
+	ArenaBytes  int64 // bytes the frozen layout owns (adjacency + codes + codec), not the rows it shares with the graph
 	Quantized   bool  // SQ8 first pass active
 	Searches    int64 // searches served from the frozen path
 	QuantComps  int64 // quantized distance evaluations

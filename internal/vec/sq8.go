@@ -10,7 +10,7 @@ import (
 // clamped to [0,255]. It is the compressed first-pass representation of
 // the frozen hot path (DESIGN.md §9): candidate generation scans these
 // codes with integer kernels at 1/4 the memory traffic of float32, and
-// the top candidates are re-ranked against the full-precision arena.
+// the top candidates are re-ranked against the full-precision rows.
 //
 // Per-dimension training follows the classic SQ8 recipe (faiss
 // ScalarQuantizer QT_8bit): each dimension gets its own [min,max] range,

@@ -1,7 +1,7 @@
 GO ?= go
 BIN ?= bin
 
-.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-smoke bench-pair bench-filter fuzz-smoke loc clean
+.PHONY: all build bin test tier1 tier1-race tier1-cluster fast vet race bench bench-pair bench-filter fuzz-smoke loc clean
 
 all: build
 
@@ -9,7 +9,7 @@ build:
 	$(GO) build ./...
 
 # Install every binary (anngen, annbuild, annquery, annserve,
-# annmaster, annworker, annbench) into $(BIN)/.
+# annmaster, annworker, annwal, annbench) into $(BIN)/.
 bin:
 	$(GO) build -o $(BIN)/ ./cmd/...
 
@@ -64,19 +64,6 @@ tier1-cluster:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
-
-# Serving-path regression gate: run the scalar / frozen / frozen_sq8
-# variants, the filtered-search selectivity sweep, and the hybrid
-# (BM25 + vector rank fusion) benchmark on a reduced workload; fail if
-# the quantized path's recall drops more than a point below scalar,
-# the 1%-selectivity filtered recall falls below 0.95 (the filter
-# planner answers that tier by scanning its candidates, so it reads
-# 1.0), or hybrid RRF recall falls below the vector-only baseline on the
-# keyword-skewed workload. CI runs this on every push; the committed
-# BENCH_results.json is regenerated with the full default workload
-# (plain `annbench -json BENCH_results.json`).
-bench-smoke:
-	$(GO) run ./cmd/annbench -json /tmp/bench-smoke.json -points 20000 -queries 400 -gate
 
 # Parent-vs-change on one annload workload, the way a performance PR is
 # judged, with an A/A control: PAIRS rounds of `bench/run.sh --trace 0`

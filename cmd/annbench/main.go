@@ -6,40 +6,11 @@
 //	annbench -experiment table3
 //	annbench -experiment all -points 50000 -queries 1000
 //
-// The serving benchmark also emits a machine-readable result file for
-// regression tracking: the same workload is driven through the three
-// single-process serving variants — scalar (dynamic HNSW), frozen (flat
-// layout) and frozen_sq8 (flat layout + SQ8 quantized first pass with
-// exact re-rank) — over one engine build, and the JSON is keyed by
-// variant:
-//
-//	annbench -json BENCH_results.json
-//
-// The -json run also sweeps the filtered-search selectivity tiers
-// (filter matches 100%, 10% and 1% of the corpus), comparing pushdown
-// (predicate inside the graph traversal) against the naive post-filter
-// baseline; the entries land under "filtered_1.00", "filtered_0.10"
-// and "filtered_0.01". It then runs the hybrid-retrieval benchmark — a
-// keyword-skewed workload (one query in five is answerable only via a
-// rare planted token) scored against exact fused ground truth — under
-// "hybrid_rrf" and "hybrid_weighted", each carrying both the fused
-// recall and the vector-only baseline recall against the same truth.
-//
-// With -shards N it additionally runs a sharded deployment (N worker
-// engines behind real loopback TCP, merged by the gateway's
-// scatter-gather router) under the "sharded" key:
-//
-//	annbench -json BENCH_results.json -shards 3
-//
-// -gate turns the run into a CI regression check: it exits non-zero if
-// the frozen_sq8 recall drops more than one point below scalar, if the
-// 1%-selectivity filtered recall falls below 0.95, or if hybrid RRF
-// recall falls below the vector-only baseline on the keyword-skewed
-// workload (this is what `make bench-smoke` runs).
+// The serving stack's benchmark is annload (bench/run.sh), not this
+// command.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -59,9 +30,6 @@ func main() {
 		k       = flag.Int("k", 10, "neighbors per query")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		quick   = flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
-		jsonOut = flag.String("json", "", "run the serving benchmark variants (scalar, frozen, frozen_sq8) and write their results (recall, QPS, p50/p99) to this file as JSON")
-		shards  = flag.Int("shards", 0, "with -json: also benchmark a sharded deployment over this many TCP worker shards")
-		gate    = flag.Bool("gate", false, "with -json: exit non-zero if frozen_sq8 recall drops more than 0.01 below scalar")
 	)
 	flag.Parse()
 
@@ -78,67 +46,6 @@ func main() {
 		Seed:    *seed,
 		Out:     os.Stdout,
 		Quick:   *quick,
-	}
-	if *jsonOut != "" {
-		doc, err := exp.ServingBenchVariants(opts)
-		if err != nil {
-			log.Fatalf("serving bench: %v", err)
-		}
-		filtered, err := exp.ServingBenchFiltered(opts)
-		if err != nil {
-			log.Fatalf("filtered serving bench: %v", err)
-		}
-		for k, v := range filtered {
-			doc[k] = v
-		}
-		hybrid, err := exp.ServingBenchHybrid(opts)
-		if err != nil {
-			log.Fatalf("hybrid serving bench: %v", err)
-		}
-		for k, v := range hybrid {
-			doc[k] = v
-		}
-		if *shards > 0 {
-			sharded, err := exp.ServingBenchSharded(opts, *shards)
-			if err != nil {
-				log.Fatalf("sharded serving bench: %v", err)
-			}
-			doc["sharded"] = sharded
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *jsonOut)
-		if *gate {
-			scalar, sq8 := doc["scalar"], doc["frozen_sq8"]
-			const slack = 0.01
-			if sq8.Recall < scalar.Recall-slack {
-				log.Fatalf("RECALL GATE FAILED: frozen_sq8 recall %.4f < scalar %.4f - %.2f",
-					sq8.Recall, scalar.Recall, slack)
-			}
-			log.Printf("recall gate ok: frozen_sq8 %.4f vs scalar %.4f (slack %.2f)",
-				sq8.Recall, scalar.Recall, slack)
-			narrow := doc["filtered_0.01"]
-			const minFilteredRecall = 0.95
-			if narrow.Recall < minFilteredRecall {
-				log.Fatalf("FILTERED RECALL GATE FAILED: 1%% selectivity pushdown recall %.4f < %.2f (post-filter baseline %.4f)",
-					narrow.Recall, minFilteredRecall, narrow.PostFilterRecall)
-			}
-			log.Printf("filtered recall gate ok: 1%% selectivity pushdown %.4f (post-filter baseline %.4f)",
-				narrow.Recall, narrow.PostFilterRecall)
-			hy := doc["hybrid_rrf"]
-			if hy.Recall < hy.VectorOnlyRecall {
-				log.Fatalf("HYBRID RECALL GATE FAILED: fused recall %.4f < vector-only %.4f on the keyword-skewed workload",
-					hy.Recall, hy.VectorOnlyRecall)
-			}
-			log.Printf("hybrid recall gate ok: fused %.4f vs vector-only %.4f (%d keyword queries)",
-				hy.Recall, hy.VectorOnlyRecall, hy.KeywordQueries)
-		}
-		return
 	}
 	run := func(e exp.Experiment) {
 		t0 := time.Now()

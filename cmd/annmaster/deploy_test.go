@@ -22,7 +22,8 @@ import (
 // and two workers that are given only their rank, the addresses and a
 // thread count. The master's -replication, -seed and -checkpoint must
 // reach the workers through the join; a second run with -resume in place
-// of -checkpoint must load what the first one saved and answer the same.
+// of -data and -checkpoint must load what the first one saved and answer
+// the same.
 func TestTCPDeploymentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binaries and runs three processes twice")
@@ -57,8 +58,8 @@ func TestTCPDeploymentSmoke(t *testing.T) {
 	}
 
 	ckpt := filepath.Join(dir, "ckpt")
-	common := []string{"-k", "10", "-gt", gt, "-data", data, "-queries", queries, "-replication", "2", "-seed", "5"}
-	built := runDeployment(t, dir, append(common, "-checkpoint", ckpt))
+	common := []string{"-k", "10", "-gt", gt, "-queries", queries, "-replication", "2", "-seed", "5"}
+	built := runDeployment(t, dir, append(common, "-data", data, "-checkpoint", ckpt))
 	if _, err := os.Stat(filepath.Join(ckpt, "tree.vp")); err != nil {
 		t.Fatalf("checkpoint not written: %v", err)
 	}

@@ -12,9 +12,9 @@
 // paths, resolved on every worker's host). Each worker sets only its own
 // searcher threads (annworker -threads). The master scatters the
 // dataset, drives the distributed VP-tree + HNSW construction
-// (Algorithms 1-2) or has the workers load the checkpoint, answers the
-// query batch with the master-worker protocol (Algorithms 3-5) and
-// prints results/recall.
+// (Algorithms 1-2) or, given -resume in place of -data, has the workers
+// load the checkpoint; then it answers the query batch with the
+// master-worker protocol (Algorithms 3-5) and prints results/recall.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 	log.SetPrefix("annmaster: ")
 	var (
 		addrs   = flag.String("addrs", "", "comma-separated rank addresses; this process is rank 0 (required)")
-		data    = flag.String("data", "", "dataset fvecs file (required)")
+		data    = flag.String("data", "", "dataset fvecs file (required unless -resume)")
 		queries = flag.String("queries", "", "query fvecs file (required)")
 		gt      = flag.String("gt", "", "optional ground-truth ivecs for recall")
 		limit   = flag.Int("limit", 0, "load at most this many points")
@@ -47,7 +48,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "construction seed (every worker builds with it)")
 		wait    = flag.Duration("wait", 60*time.Second, "worker dial timeout")
 		ckpt    = flag.String("checkpoint", "", "every worker saves its built partition under this directory")
-		resume  = flag.String("resume", "", "serve from this checkpoint directory instead of building (every worker loads it)")
+		resume  = flag.String("resume", "", "serve from this checkpoint directory instead of building (every worker loads it; no -data)")
 		traceTo = flag.String("trace", "", "write a master-side event timeline to this file")
 
 		queryTimeout = flag.Duration("query-timeout", 10*time.Second,
@@ -59,19 +60,22 @@ func main() {
 	)
 	flag.Parse()
 	list := strings.Split(*addrs, ",")
-	if *addrs == "" || len(list) < 2 || *data == "" || *queries == "" {
+	if *addrs == "" || len(list) < 2 || (*data == "") == (*resume == "") || *queries == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	ds, err := dataset.LoadFvecsFile(*data, *limit)
-	if err != nil {
-		log.Fatal(err)
+	var ds *vec.Dataset
+	if *resume == "" {
+		var err error
+		if ds, err = dataset.LoadFvecsFile(*data, *limit); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("dataset %d points\n", ds.Len())
 	}
 	qs, err := dataset.LoadFvecsFile(*queries, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("dataset %d x %d, %d queries, %d workers\n", ds.Len(), ds.Dim, qs.Len(), len(list)-1)
 
 	node, comm, err := cluster.JoinTCPOpts(0, list, cluster.TCPOptions{
 		DialTimeout:       *wait,
@@ -99,6 +103,7 @@ func main() {
 	}
 
 	driver := func(m *core.Master) error {
+		fmt.Printf("dim %d, %d queries, %d workers\n", m.Dim(), qs.Len(), len(list)-1)
 		cs := m.ConstructionStats()
 		if *resume == "" {
 			fmt.Printf("construction: vptree=%v hnsw=%v replicate=%v\n",

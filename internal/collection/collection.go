@@ -65,10 +65,6 @@ type Config struct {
 	// Metric names the distance metric: "L2" (default), "sqL2",
 	// "cosine", "ip" (vec.ParseMetric spellings).
 	Metric string `json:"metric,omitempty"`
-	// Partitions is the target partition count once the collection is
-	// rebuilt over real data; a freshly created collection always starts
-	// with one (see core.NewEmptyEngine).
-	Partitions int `json:"partitions,omitempty"`
 	// Frozen serves from the flat frozen layout; SQ8 adds quantized
 	// candidate generation with RerankK re-ranking (see core.Config).
 	Frozen  bool `json:"frozen,omitempty"`
@@ -120,9 +116,6 @@ func (c *Config) fill() error {
 		return fmt.Errorf("collection: %w", err)
 	}
 	c.Metric = m.String() // canonical spelling in collection.json
-	if c.Partitions <= 0 {
-		c.Partitions = 1
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -141,7 +134,7 @@ func (c Config) engineConfig() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	ec := core.DefaultConfig(c.Partitions)
+	ec := core.DefaultConfig(1) // an empty engine has one partition
 	ec.Metric = m
 	ec.RerankK = c.RerankK
 	ec.Seed = c.Seed

@@ -1,10 +1,14 @@
 package collection
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,8 +97,19 @@ func TestLifecycle(t *testing.T) {
 		}
 	}
 
-	// Reopen: config, vectors and tags must all come back.
+	// Reopen: config, vectors and tags must all come back, also from a
+	// collection.json that still names the partition count collections
+	// once carried.
 	if err := r.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(root, "docs", configName)
+	raw, err := os.ReadFile(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte("{"), []byte("{\n  \"partitions\": 8,"), 1)
+	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := Open(root, Options{})
@@ -106,8 +121,8 @@ func TestLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Config().Dim != 8 {
-		t.Fatalf("reopened dim = %d", c2.Config().Dim)
+	if !reflect.DeepEqual(c2.Config(), c.Config()) {
+		t.Fatalf("reopened config = %+v, want %+v", c2.Config(), c.Config())
 	}
 	if got := c2.Engine().Len(); got != 100 {
 		t.Fatalf("reopened Len = %d, want 100", got)

@@ -733,7 +733,7 @@ func TestEngineDynamicAddDelete(t *testing.T) {
 		}
 	}
 	if len(rs) != 3 {
-		t.Errorf("over-fetch failed: got %d results", len(rs))
+		t.Errorf("got %d results, want 3", len(rs))
 	}
 
 	// revive by re-adding

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/hnsw"
 	"repro/internal/index"
-	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
@@ -16,8 +15,11 @@ import (
 // partition's HNSW graph (the VP tree keeps routing correctly: the home
 // partition is by construction the region the point falls into).
 // Deletes are tombstones — HNSW graphs do not support structural removal
-// cheaply, so deleted IDs are filtered out of results and compacted away
-// on the next full rebuild.
+// cheaply, so a deleted ID's rows stay in the graph until a fold rebuilds
+// their partition without them. Until then the tombstone set is one more
+// predicate on the read side (admit): every leg of a search admits only
+// live IDs, exactly as a filter admits only matching ones. A fold is the
+// one exit: it forgets the ID everywhere the engine keys it (see fold).
 //
 // Updates and searches may interleave: the tombstone set takes an
 // RWMutex, and HNSW insertion is internally thread-safe.
@@ -174,51 +176,56 @@ func (e *Engine) Tombstones() int {
 	return len(d.tombstone)
 }
 
-// filterDeleted strips tombstoned IDs from rs. To keep k results in the
-// presence of tombstones, callers over-fetch (see SearchStats).
-func (e *Engine) filterDeleted(rs []topk.Result, k int) []topk.Result {
+// admit is the read side's one deletion rule: the predicate every leg
+// of a search honours, not tombstoned and keep (nil admits every ID).
+// While there are no tombstones it is keep itself, so a search on an
+// engine that never deletes takes the path it always has. The tombstone
+// is asked first: fold clears it last, so an ID it lets through has
+// already lost the tags keep would match.
+func (e *Engine) admit(keep func(int64) bool) func(int64) bool {
 	d := e.dyn()
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if len(d.tombstone) == 0 {
-		if len(rs) > k {
-			rs = rs[:k]
-		}
-		return rs
+	none := len(d.tombstone) == 0
+	d.mu.RUnlock()
+	if none {
+		return keep
 	}
-	out := rs[:0]
-	for _, r := range rs {
-		if !d.tombstone[r.ID] {
-			out = append(out, r)
-			if len(out) == k {
-				break
-			}
-		}
+	return func(id int64) bool {
+		d.mu.RLock()
+		dead := d.tombstone[id]
+		d.mu.RUnlock()
+		return !dead && (keep == nil || keep(id))
 	}
-	return out
 }
 
-// overfetch widens k to survive tombstone filtering.
-func (e *Engine) overfetch(k int) int {
+// fold forgets IDs whose rows the rebuilt partitions no longer hold,
+// everywhere the engine keys them: tags and postings first, then the
+// lexical document, and the tombstone last, so a search racing the fold
+// finds each ID either still tombstoned or with nothing left to match.
+// SwapPartition and Rebuild call it once the new partitions are in.
+func (e *Engine) fold(ids []int64) {
+	if len(ids) == 0 {
+		return
+	}
+	e.tags.forget(ids)
+	lex := e.lexIndex()
+	for _, id := range ids {
+		lex.Delete(id)
+	}
 	d := e.dyn()
-	d.mu.RLock()
-	nt := len(d.tombstone)
-	d.mu.RUnlock()
-	if nt == 0 {
-		return k
+	d.mu.Lock()
+	for _, id := range ids {
+		delete(d.tombstone, id)
 	}
-	extra := nt
-	if extra > 3*k {
-		extra = 3 * k // bounded over-fetch; rebuild when tombstones pile up
-	}
-	return k + extra
+	d.mu.Unlock()
 }
 
 // Rebuild compacts the engine: it re-partitions and re-indexes the
-// current live contents (original + inserted - tombstoned vectors),
-// clearing all tombstones. The paper rebuilds offline between batch
-// windows; this is that operation in-process.
+// current live contents (original + inserted - tombstoned vectors) and
+// folds every tombstone it found. The paper rebuilds offline between
+// batch windows; this is that operation in-process.
 func (e *Engine) Rebuild() error {
+	dead := e.TombstoneIDs()
 	_, parts := e.view()
 	live := vec.NewDataset(e.dim, e.Len())
 	for _, p := range parts {
@@ -241,15 +248,11 @@ func (e *Engine) Rebuild() error {
 	e.tree = fresh.tree
 	e.parts = fresh.parts
 	e.swapMu.Unlock()
+	e.tags.rebuilt(fresh.parts)
+	e.fold(dead)
 	d := e.dyn()
 	d.mu.Lock()
-	dead := make([]int64, 0, len(d.tombstone))
-	for id := range d.tombstone {
-		dead = append(dead, id)
-	}
-	d.tombstone = make(map[int64]bool)
 	d.inserted = 0
 	d.mu.Unlock()
-	e.tags.rebuilt(fresh.parts, dead)
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // AddAt traffic. This is how a freshly created collection starts —
 // vptree.BuildPartitions needs at least one point per partition, so an
 // empty engine always has exactly one partition regardless of
-// cfg.Partitions (a later Rebuild re-partitions once data exists).
+// cfg.Partitions.
 func NewEmptyEngine(dim int, cfg Config) (*Engine, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("core: non-positive dimension %d", dim)

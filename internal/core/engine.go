@@ -192,8 +192,7 @@ func (e *Engine) FilterPredicate(f *filter.Expr) func(int64) bool {
 }
 
 // SearchFiltered returns the approximate k nearest neighbors of q whose
-// tags satisfy f; see SearchFilteredStats. Tombstones are filtered
-// exactly as in Search.
+// tags satisfy f; see SearchFilteredStats.
 func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Result, error) {
 	rs, _, err := e.SearchFilteredStats(q, k, f)
 	return rs, err
@@ -201,12 +200,13 @@ func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Resu
 
 // SearchFilteredStats is SearchFiltered plus the work performed. It is
 // the engine's one read path (Algorithms 3-4): route q to its
-// partitions, run one local search per partition, merge, drop
-// tombstones. A nil or empty f is the unfiltered search. Under a filter
-// the tag postings are counted first: when the candidates are no more
-// than the rows the beam's work is worth (scanBeatsBeam), their rows
-// are scored exactly across every partition and routing does not run;
-// otherwise the predicate rides along in the beam.
+// partitions, run one local search per partition, merge. A nil or empty
+// f is the unfiltered search. Under a filter the tag postings are
+// counted first: when the candidates are no more than the rows the
+// beam's work is worth (scanBeatsBeam), their rows are scored exactly
+// across every partition and routing does not run; otherwise the
+// predicate rides along in the beam. Either way only the IDs admit lets
+// through are returned, so tombstoned IDs never take a place in the k.
 func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk.Result, index.Stats, error) {
 	if len(q) != e.dim {
 		return nil, index.Stats{}, fmt.Errorf("core: query dim %d, index dim %d", len(q), e.dim)
@@ -214,7 +214,6 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 	if k <= 0 {
 		k = e.cfg.K
 	}
-	fetch := e.overfetch(k)
 	tree, parts := e.view()
 	var (
 		keep  func(int64) bool
@@ -226,8 +225,8 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 		defer sc.release()
 		e.tags.compile(f, &sc.tf)
 		e.plan.candidates.Add(int64(sc.tf.count))
-		if e.scanBeatsBeam(sc.tf.count, parts, fetch) {
-			if rs, scored, ok := e.scanCandidates(q, fetch, sc, parts); ok {
+		if e.scanBeatsBeam(sc.tf.count, parts, k) {
+			if rs, scored, ok := e.scanCandidates(q, k, sc, parts); ok {
 				lists, total = [][]topk.Result{rs}, index.Stats{DistComps: scored}
 			}
 		}
@@ -240,16 +239,16 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 	}
 	if lists == nil {
 		var err error
-		if lists, total, err = e.beam(q, fetch, keep, tree, parts); err != nil {
+		if lists, total, err = e.beam(q, k, e.admit(keep), tree, parts); err != nil {
 			return nil, total, err
 		}
 	}
-	return e.filterDeleted(topk.Merge(fetch, lists...), k), total, nil
+	return topk.Merge(k, lists...), total, nil
 }
 
 // beam routes q and runs one local search per routed partition, keep
 // (nil for none) riding along in each.
-func (e *Engine) beam(q []float32, fetch int, keep func(int64) bool, tree *vptree.PartitionTree, parts []index.Local) ([][]topk.Result, index.Stats, error) {
+func (e *Engine) beam(q []float32, k int, keep func(int64) bool, tree *vptree.PartitionTree, parts []index.Local) ([][]topk.Result, index.Stats, error) {
 	var (
 		routes []vptree.Route
 		lists  [][]topk.Result
@@ -258,11 +257,11 @@ func (e *Engine) beam(q []float32, fetch int, keep func(int64) bool, tree *vptre
 	home := -1
 	if e.cfg.Routing == RouteAdaptive {
 		// Search home first, then widen to the ball of the current k-th
-		// matching distance. The filtered k-th distance is never smaller
+		// admitted distance. The admitted k-th distance is never smaller
 		// than the unfiltered one, so the ball — and hence the route
 		// set — is conservative (correct, possibly wider).
 		home = tree.Home(q)
-		first, st, err := parts[home].SearchFiltered(q, fetch, keep)
+		first, st, err := parts[home].SearchFiltered(q, k, keep)
 		if err != nil {
 			return nil, st, err
 		}
@@ -279,7 +278,7 @@ func (e *Engine) beam(q []float32, fetch int, keep func(int64) bool, tree *vptre
 		if rt.Partition == home {
 			continue
 		}
-		rs, st, err := parts[rt.Partition].SearchFiltered(q, fetch, keep)
+		rs, st, err := parts[rt.Partition].SearchFiltered(q, k, keep)
 		if err != nil {
 			return nil, total, err
 		}
@@ -406,11 +405,11 @@ func (e *Engine) PartitionGraph(p int) (*hnsw.Graph, bool) {
 }
 
 // SwapPartition atomically replaces partition p's local index with l
-// and clears the tombstones in folded — the IDs the replacement index
-// was rebuilt without. Concurrent searches see either the old or the
-// new index, never a mix; the tombstone filter stays correct in both
-// orders because folded IDs are absent from l and still filtered from
-// the old index until the swap lands.
+// and folds the IDs in folded: those the replacement index was rebuilt
+// without. No partition may hold a row of a folded ID once l is in, or
+// that row is live again. Concurrent searches see either the old or the
+// new index, never a mix; a folded ID stays tombstoned until the swap
+// has landed, so the old index hides it too.
 func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
 	// In frozen mode the replacement is re-frozen before it lands, so the
 	// flat serving layout survives compaction. The O(n) freeze runs
@@ -436,17 +435,8 @@ func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
 	parts[p] = l
 	e.parts = parts
 	e.swapMu.Unlock()
-	// Tags go before the tombstones do, so a candidate scan still on the
-	// old partition finds a folded ID either tombstoned or untagged.
-	e.tags.swapped(p, l, folded)
-	if len(folded) > 0 {
-		d := e.dyn()
-		d.mu.Lock()
-		for _, id := range folded {
-			delete(d.tombstone, id)
-		}
-		d.mu.Unlock()
-	}
+	e.tags.swapped(p, l)
+	e.fold(folded)
 	return nil
 }
 

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/filter"
 	"repro/internal/hnsw"
 	"repro/internal/index"
@@ -380,6 +382,69 @@ func filteredChurn(t *testing.T, mutate func(*Config)) {
 	wg.Wait()
 	if st := e.TagStats(); st.Scans == 0 || st.Beams == 0 {
 		t.Fatalf("the filters did not straddle the cut-over: %+v", st)
+	}
+}
+
+// TestDeletedNearestNeighbors deletes a query's 50 nearest neighbors:
+// every read path must still return the 10 nearest live rows, in every
+// serving mode. With tombstones stripped after the merge, each partition
+// was asked for k + min(tombstones, 3k) = 40 rows, all of them dead, and
+// Search returned none.
+func TestDeletedNearestNeighbors(t *testing.T) {
+	const n, k, nDead = 2000, 10, 50
+	ds, err := dataset.Named("sift", n, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.At(17)
+	dead := make(map[int64]bool, nDead)
+	for _, r := range bruteFiltered(ds, q, nDead, func(int64) bool { return true }) {
+		dead[r.ID] = true
+	}
+	truth := bruteFiltered(ds, q, k, func(id int64) bool { return !dead[id] })
+	every := filter.MustParse("t100=1")
+	for _, mode := range ladderModes {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.NProbe = 4
+			mode.mutate(&cfg)
+			e, err := NewEngine(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagAll(e, n)
+			for id := range dead {
+				e.Delete(id)
+			}
+			check := func(path string, got []topk.Result) {
+				t.Helper()
+				if !slices.Equal(got, truth) {
+					t.Errorf("%s: got %v, brute force over the live rows %v", path, got, truth)
+				}
+			}
+			rs, err := e.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("Search", rs)
+			if rs, err = e.SearchFiltered(q, k, every); err != nil {
+				t.Fatal(err)
+			}
+			check("SearchFiltered", rs)
+			for _, scan := range []bool{true, false} {
+				rs, _ := ladderPath(e, q, k, every, scan)
+				check(map[bool]string{true: "filtered scan", false: "filtered beam"}[scan], rs)
+			}
+			hs, err := e.SearchHybrid(q, "", k, HybridOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = nil
+			for _, h := range hs {
+				rs = append(rs, topk.Result{ID: h.ID, Dist: h.Dist})
+			}
+			check("hybrid vector leg", rs)
+		})
 	}
 }
 

@@ -229,15 +229,29 @@ func TestSearchHybridFilterAndTombstones(t *testing.T) {
 		}
 	}
 
-	// Tombstoned documents never score on the lexical leg.
+	// Tombstoned documents never score on the lexical leg, and once a
+	// compaction folds the tombstone the document is gone with it.
 	e.Delete(42)
-	rs, err = e.SearchHybrid(nil, "needle", 10, HybridOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rs {
-		if r.ID == 42 {
-			t.Fatal("deleted doc scored on lexical leg")
+	for _, stage := range []string{"tombstoned", "folded"} {
+		if stage == "folded" {
+			compactForTest(t, e, 0)
+			if e.Deleted(42) {
+				t.Fatal("compaction left the tombstone")
+			}
+		}
+		rs, err = e.SearchHybrid(nil, "needle", 10, HybridOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.ID == 42 {
+				t.Fatalf("%s: deleted doc scored on the text-only hybrid search", stage)
+			}
+		}
+		for _, s := range e.SearchLexical("needle", 10, nil) {
+			if s.ID == 42 {
+				t.Fatalf("%s: deleted doc scored on SearchLexical", stage)
+			}
 		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 // (internal/lexical) next to its vector partitions, populated by
 // SetText and queried by SearchHybrid. The vector leg runs the existing
 // dynamic/frozen/filtered search paths unchanged; the lexical leg
-// queries the inverted index under the same tombstone + filter
-// predicates; internal/fusion merges the two rankings. The lexical
+// queries the inverted index under the same predicate (admit: filter
+// and tombstones), and a fold deletes the document for good;
+// internal/fusion merges the two rankings. The lexical
 // index also retains each document's vector, so fused candidates are
 // re-scored with exact float32 distances — the approximate legs decide
 // WHICH candidates surface, never what distance is reported, which
@@ -146,28 +147,10 @@ func (e *Engine) LexicalDump(w io.Writer) error { return e.lexIndex().DumpPostin
 // replay. Parameters (SetLexicalConfig) must be applied first.
 func (e *Engine) RestoreTexts(docs map[int64]lexical.Doc) { e.lexIndex().Restore(docs) }
 
-// lexAllow builds the candidate predicate for the lexical leg:
-// tombstoned documents never score, and an optional filter expression
-// restricts further (same semantics as filtered vector search). The
-// tombstone lock is taken here once; only while tombstones exist does
-// the predicate take it again, and the index asks it once per document.
-func (e *Engine) lexAllow(f *filter.Expr) func(int64) bool {
-	keep := e.FilterPredicate(f)
-	if e.Tombstones() == 0 {
-		return keep
-	}
-	return func(id int64) bool {
-		if e.Deleted(id) {
-			return false
-		}
-		return keep == nil || keep(id)
-	}
-}
-
 // SearchLexical runs the BM25 leg alone: top-k keyword matches under
 // the engine's tombstones and an optional filter.
 func (e *Engine) SearchLexical(text string, k int, f *filter.Expr) []lexical.Scored {
-	return e.lexIndex().Search(text, k, e.lexAllow(f))
+	return e.lexIndex().Search(text, k, e.admit(e.FilterPredicate(f)))
 }
 
 // SearchHybrid answers a hybrid query: the vector leg (when q is
@@ -216,7 +199,7 @@ func (e *Engine) SearchHybrid(q []float32, text string, k int, opts HybridOption
 	}
 	var scored []lexical.Scored
 	if text != "" {
-		scored = lex.Search(text, opts.LegK, e.lexAllow(opts.Filter))
+		scored = lex.Search(text, opts.LegK, e.admit(e.FilterPredicate(opts.Filter)))
 	}
 
 	// One record per candidate of either leg, at most 2·LegK of them.

@@ -43,7 +43,7 @@ const beamRowsPerEf = 12
 // the ball of the k-th matching distance, which the ladder shows
 // reaching nearly every partition under a filter, so it is charged for
 // all of them.
-func (e *Engine) scanBeatsBeam(candidates int, parts []index.Local, fetch int) bool {
+func (e *Engine) scanBeatsBeam(candidates int, parts []index.Local, k int) bool {
 	if candidates == 0 {
 		return true
 	}
@@ -57,7 +57,7 @@ func (e *Engine) scanBeatsBeam(candidates int, parts []index.Local, fetch int) b
 	}
 	perPart := float64(rows) / float64(len(parts))
 	if g, ok := index.HNSWGraph(parts[0]); ok {
-		beam := beamRowsPerEf * float64(max(g.EfSearch(), fetch)) * float64(rows) / float64(candidates)
+		beam := beamRowsPerEf * float64(max(g.EfSearch(), k)) * float64(rows) / float64(candidates)
 		perPart = min(perPart, beam)
 	}
 	return float64(candidates) <= float64(probes)*perPart
@@ -81,7 +81,7 @@ func (sc *planScratch) release() {
 }
 
 // scanCandidates answers a filtered search from the postings: every ID
-// on the smallest conjunct's lists that is not tombstoned, still
+// on the smallest conjunct's lists that is live (admit), still
 // satisfies the whole filter and has a vector is resolved to its row and
 // scored exactly, whatever partition holds it. It returns the k nearest
 // and the number of rows scored. Rows are resolved against parts, the
@@ -95,12 +95,10 @@ func (e *Engine) scanCandidates(q []float32, k int, sc *planScratch, parts []ind
 	tf := &sc.tf
 	sc.rows = append(sc.rows[:0], make([]*vec.Dataset, len(parts))...)
 	scan := index.NewScan(q, k, e.cfg.Metric)
-	d := e.dyn()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	live := e.admit(nil) // the filter is matched on the entry below
 	for _, post := range tf.posts {
 		for _, id := range post {
-			if d.tombstone[id] {
+			if live != nil && !live(id) {
 				continue
 			}
 			ent := tf.t.entry(id)

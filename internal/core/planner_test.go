@@ -244,23 +244,22 @@ func TestFilteredAllocCeiling(t *testing.T) {
 // ladderPath answers q one way regardless of the planner: the parts of
 // SearchFilteredStats on either side of its decision.
 func ladderPath(e *Engine, q []float32, k int, f *filter.Expr, scan bool) ([]topk.Result, index.Stats) {
-	fetch := e.overfetch(k)
 	tree, parts := e.view()
 	sc := planPool.Get().(*planScratch)
 	defer sc.release()
 	e.tags.compile(f, &sc.tf)
 	if scan {
-		rs, scored, ok := e.scanCandidates(q, fetch, sc, parts)
+		rs, scored, ok := e.scanCandidates(q, k, sc, parts)
 		if !ok {
 			panic("scan gave up on a quiescent engine")
 		}
-		return e.filterDeleted(topk.Merge(fetch, rs), k), index.Stats{DistComps: scored}
+		return topk.Merge(k, rs), index.Stats{DistComps: scored}
 	}
-	lists, total, err := e.beam(q, fetch, sc.tf.match, tree, parts)
+	lists, total, err := e.beam(q, k, e.admit(sc.tf.match), tree, parts)
 	if err != nil {
 		panic(err)
 	}
-	return e.filterDeleted(topk.Merge(fetch, lists...), k), total
+	return topk.Merge(k, lists...), total
 }
 
 // BenchmarkFilteredLadder is the measurement the planner's rule rests

@@ -195,8 +195,13 @@ func (t *tagStore) place(id int64, old *idEntry, part, row int) {
 }
 
 // forget drops ids that left the index for good: tags, postings and
-// location. Caller holds mu.
+// location.
 func (t *tagStore) forget(ids []int64) {
+	if !t.located.Load() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, id := range ids {
 		t.set(id, nil)
 		t.ids.Delete(id)
@@ -220,27 +225,24 @@ func (t *tagStore) added(part int, g *hnsw.Graph, id int64) {
 	}
 }
 
-// swapped follows a partition swap: the folded IDs are gone and every
-// surviving row of the partition has a new number.
-func (t *tagStore) swapped(part int, l index.Local, folded []int64) {
+// swapped follows a partition swap: every row of the partition has a
+// new number. The IDs the swap folded are forgotten by Engine.fold.
+func (t *tagStore) swapped(part int, l index.Local) {
 	if !t.located.Load() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.forget(folded)
 	t.placeRows(part, l)
 }
 
-// rebuilt follows Engine.Rebuild: the dead IDs are gone and every row
-// of every partition moved.
-func (t *tagStore) rebuilt(parts []index.Local, dead []int64) {
+// rebuilt follows Engine.Rebuild: every row of every partition moved.
+func (t *tagStore) rebuilt(parts []index.Local) {
 	if !t.located.Load() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.forget(dead)
 	t.ids.Range(func(k, v any) bool {
 		t.put(k.(int64), v.(*idEntry).terms, -1, 0)
 		return true

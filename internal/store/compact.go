@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hnsw"
@@ -9,15 +10,15 @@ import (
 	"repro/internal/vec"
 )
 
-// Background compaction. Deletes are tombstones: the engine filters
-// them out of results and over-fetches to compensate, so a partition
-// that has absorbed heavy delete churn wastes memory and search effort
-// on dead rows. Past Options.CompactRatio the compactor rebuilds the
-// partition's HNSW graph offline from its live rows only, catches up
-// inserts that raced the rebuild from a sidelog, swaps the new graph
-// into the engine atomically (searches never block and never see a
-// half-swapped state), and checkpoints so the shrunken state is also
-// what recovery loads.
+// Background compaction. Deletes are tombstones: the engine's searches
+// step over them, so a partition that has absorbed heavy delete churn
+// wastes memory and search effort on dead rows. Past
+// Options.CompactRatio the compactor rebuilds the partition's HNSW graph
+// offline from its live rows only, catches up inserts that raced the
+// rebuild from a sidelog, swaps the new graph into the engine atomically
+// (searches never block and never see a half-swapped state), folds the
+// IDs it left out — the engine forgets their tags, text and tombstones —
+// and checkpoints so the shrunken state is also what recovery loads.
 
 // startCompactor launches the scan loop when auto-compaction is on.
 func (d *Durable) startCompactor() {
@@ -104,86 +105,90 @@ func (d *Durable) pickPartition() int {
 // rebuild are recorded in a sidelog and re-applied to the new graph
 // before it goes live, so nothing is lost.
 func (d *Durable) CompactPartition(p int) error {
-	// Phase 1 (under mu): snapshot the partition's live rows and mark
-	// it compacting so concurrent upserts start feeding the sidelog.
+	c, err := d.beginCompaction(p)
+	if err != nil {
+		return err
+	}
+	return d.finishCompaction(c)
+}
+
+// compaction is one CompactPartition between its first phase and the
+// other two: the partition's live rows and the IDs of the rows left out.
+type compaction struct {
+	p      int
+	live   *vec.Dataset
+	folded []int64
+	cfg    hnsw.Config
+}
+
+// beginCompaction is phase 1 (under mu): snapshot partition p's live
+// rows and mark it compacting so concurrent upserts start feeding the
+// sidelog.
+func (d *Durable) beginCompaction(p int) (*compaction, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
-		return errClosed
+		return nil, errClosed
 	}
 	if d.compacting != -1 {
-		d.mu.Unlock()
-		return fmt.Errorf("store: partition %d is already compacting", d.compacting)
+		return nil, fmt.Errorf("store: partition %d is already compacting", d.compacting)
 	}
 	g, ok := d.eng.PartitionGraph(p)
 	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("store: partition %d has no HNSW graph", p)
+		return nil, fmt.Errorf("store: partition %d has no HNSW graph", p)
 	}
 	ds := g.Data()
-	live := vec.NewDataset(ds.Dim, ds.Len())
-	var folded []int64
+	c := &compaction{p: p, live: vec.NewDataset(ds.Dim, ds.Len()), cfg: g.Config()}
 	for i := 0; i < ds.Len(); i++ {
 		if id := ds.ID(i); d.eng.Deleted(id) {
-			folded = append(folded, id)
+			c.folded = append(c.folded, id)
 		} else {
-			live.Append(ds.At(i), id)
+			c.live.Append(ds.At(i), id)
 		}
 	}
-	cfg := g.Config()
 	d.compacting = p
 	d.sidelog = nil
-	d.mu.Unlock()
+	return c, nil
+}
 
-	abort := func(err error) error {
-		d.mu.Lock()
-		d.compacting = -1
-		d.sidelog = nil
-		d.mu.Unlock()
-		return err
-	}
-
+// finishCompaction runs phases 2 and 3 of c.
+func (d *Durable) finishCompaction(c *compaction) error {
 	// Phase 2 (offline): rebuild from live rows only. Mutations and
 	// searches proceed against the old graph meanwhile.
 	t0 := time.Now()
-	ng, _, err := hnsw.Build(live, cfg, d.opts.Threads)
-	if err != nil {
-		return abort(err)
-	}
+	ng, _, err := hnsw.Build(c.live, c.cfg, d.opts.Threads)
 
-	// Phase 3 (under mu): catch up sidelogged inserts, swap, clear the
-	// folded tombstones, and checkpoint so recovery sees the compacted
-	// state and the WAL can shed covered segments.
+	// Phase 3 (under mu): catch up sidelogged inserts, swap, fold what
+	// is still dead, and checkpoint so recovery sees the compacted state
+	// and the WAL can shed covered segments.
 	d.mu.Lock()
-	if d.closed {
-		d.compacting = -1
-		d.sidelog = nil
-		d.mu.Unlock()
-		return errClosed
-	}
-	for _, s := range d.sidelog {
-		if _, err := ng.AddAtLevel(s.v, s.id, s.level); err != nil {
-			d.compacting = -1
-			d.sidelog = nil
-			d.mu.Unlock()
-			return err
-		}
-	}
-	caught := len(d.sidelog)
-	if err := d.eng.SwapPartition(p, index.WrapHNSW(ng), folded); err != nil {
-		d.compacting = -1
-		d.sidelog = nil
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	defer func() { d.compacting, d.sidelog = -1, nil }()
+	if err != nil {
 		return err
 	}
-	d.compacting = -1
-	d.sidelog = nil
+	if d.closed {
+		return errClosed
+	}
+	relive := make(map[int64]bool, len(d.sidelog))
+	for _, s := range d.sidelog {
+		if _, err := ng.AddAtLevel(s.v, s.id, s.level); err != nil {
+			return err
+		}
+		relive[s.id] = true
+	}
+	// An ID re-upserted since phase 1 is no longer dead, or — if it was
+	// deleted again — has a row in the new graph that its tombstone must
+	// keep hiding: neither is folded.
+	folded := slices.DeleteFunc(c.folded, func(id int64) bool { return relive[id] || !d.eng.Deleted(id) })
+	if err := d.eng.SwapPartition(c.p, index.WrapHNSW(ng), folded); err != nil {
+		return err
+	}
 	d.stats.Compactions.Add(1)
 	d.stats.Folded.Add(int64(len(folded)))
-	d.stats.CaughtUp.Add(int64(caught))
+	d.stats.CaughtUp.Add(int64(len(d.sidelog)))
 	err = d.checkpointLocked()
-	d.mu.Unlock()
 	d.opts.Logf("store: compacted partition %d in %v: folded %d tombstones, caught up %d inserts, %d live rows",
-		p, time.Since(t0).Round(time.Millisecond), len(folded), caught, live.Len()+caught)
+		c.p, time.Since(t0).Round(time.Millisecond), len(folded), len(d.sidelog), ng.Len())
 	return err
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -272,5 +274,140 @@ func TestAutoCompaction(t *testing.T) {
 	}
 	if d.Stats().Compactions == 0 {
 		t.Fatal("background compactor never fired")
+	}
+}
+
+// TestCompactionForgetsFoldedText: the fold that drops a deleted ID's
+// rows drops its document too, so neither the lexical index nor the
+// checkpoint that recovery loads holds it afterwards. Before the fold
+// forgot text, the document came back in SearchLexical as soon as its
+// tombstone was folded.
+func TestCompactionForgetsFoldedText(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := smallEngine(t, 800, 19)
+	opts := Options{SyncEvery: 1, CompactRatio: -1}
+	d, err := Create(dir, e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const doomed, kept = 900001, 900002
+	v := fixedVec(50, 8)
+	for _, id := range []int64{doomed, kept} {
+		if err := d.UpsertWith(v, id, withText(fmt.Sprintf("shared doc%d", id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Delete(doomed); err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Home(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CompactPartition(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	e2 := d2.Engine()
+	docs := e2.TextsSnapshot()
+	if _, ok := docs[doomed]; ok {
+		t.Error("TextsSnapshot still holds the folded document")
+	}
+	if _, ok := docs[kept]; !ok {
+		t.Error("TextsSnapshot lost the live document")
+	}
+	if dump := postingsDump(t, e2); bytes.Contains(dump, []byte(fmt.Sprintf("\t%d\t", doomed))) {
+		t.Errorf("LexicalDump still holds the folded document:\n%s", dump)
+	}
+	for _, s := range e2.SearchLexical(fmt.Sprintf("doc%d", doomed), 5, nil) {
+		t.Errorf("SearchLexical returned %d for the folded document's own token", s.ID)
+	}
+}
+
+// TestCompactionFoldsOnlyTheDead runs a compaction's first phase, then
+// the writes a rebuild can race with, then the rest: of three IDs
+// deleted before the compaction, the one nobody touched is folded, the
+// one re-upserted with tags and text keeps both, and the one re-upserted
+// and deleted again stays hidden, since the new graph holds its row.
+func TestCompactionFoldsOnlyTheDead(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := smallEngine(t, 800, 19)
+	d, err := Create(dir, e, Options{SyncEvery: 1, CompactRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const folded, revived, redeleted = 900001, 900002, 900003
+	v := fixedVec(50, 8)
+	for _, id := range []int64{folded, revived, redeleted} {
+		a := withText(fmt.Sprintf("old doc%d", id))
+		a.Tags = map[string]string{"era": "old"}
+		if err := d.UpsertWith(v, id, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := e.Home(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := d.beginCompaction(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := withText("new text")
+	a.Tags = map[string]string{"era": "new"}
+	if err := d.UpsertWith(v, revived, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.UpsertWith(v, redeleted, withText("new text")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete(redeleted); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.finishCompaction(c); err != nil {
+		t.Fatal(err)
+	}
+
+	if e.Deleted(folded) || e.Tags(folded) != nil {
+		t.Error("the untouched ID was not folded")
+	}
+	if _, ok := e.Text(folded); ok {
+		t.Error("the folded ID kept its text")
+	}
+	if tags := e.Tags(revived); tags["era"] != "new" {
+		t.Errorf("the re-upserted ID has tags %v, want era=new", tags)
+	}
+	if text, _ := e.Text(revived); text != "new text" {
+		t.Errorf("the re-upserted ID has text %q", text)
+	}
+	if !e.Deleted(redeleted) {
+		t.Error("the swap cleared the tombstone of an ID deleted again")
+	}
+	rs, err := e.Search(v, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[int64]bool, len(rs))
+	for _, r := range rs {
+		ids[r.ID] = true
+	}
+	if !ids[revived] || ids[redeleted] || ids[folded] {
+		t.Errorf("Search at the shared vector returned %v: want %d and neither %d nor %d", rs, revived, redeleted, folded)
+	}
+	for _, s := range e.SearchLexical("new text", 5, nil) {
+		if s.ID != revived {
+			t.Errorf("SearchLexical returned %d", s.ID)
+		}
 	}
 }

@@ -95,7 +95,9 @@ bench-filter:
 # (FuzzTextRecord, named for the kind it started with: validation
 # accepts a record if and only if it round-trips through the codec
 # with exact-length framing and a byte-stable re-encode, and what it
-# refuses never reaches the log), the SQ8 codec (non-finite rejection, round-trip bounds),
+# refuses never reaches the log), the MANIFEST reader (envelope, legacy
+# manifest, dead rows and parent tombstones: no panic, only typed
+# refusals, a byte-stable re-encode), the SQ8 codec (non-finite rejection, round-trip bounds),
 # the SQ8 byte kernel (the dispatched kernel, AVX2 where the CPU has it,
 # equals the generic one and the naive sum on any pair of codes),
 # the filter expression parser (no panic, canonical-form fixed point,
@@ -110,6 +112,7 @@ bench-filter:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzTextRecord -fuzztime=10s -run '^$$' ./internal/store
+	$(GO) test -fuzz=FuzzManifest -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSQ8Codec -fuzztime=10s -run '^$$' ./internal/vec
 	$(GO) test -fuzz=FuzzSquaredL2Bytes -fuzztime=10s -run '^$$' ./internal/vec
 	$(GO) test -fuzz=FuzzFilterParse -fuzztime=10s -run '^$$' ./internal/filter

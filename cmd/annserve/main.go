@@ -113,7 +113,7 @@ func main() {
 		walDir       = flag.String("wal", "", "durable store directory: WAL + snapshots + compaction (single-process mode)")
 		walSyncEvery = flag.Int("wal-sync-every", 64, "fsync after this many WAL records (1 = every record)")
 		walSyncInt   = flag.Duration("wal-sync-interval", 50*time.Millisecond, "group-commit fsync interval (0 = default, negative disables the ticker)")
-		compactRatio = flag.Float64("compact-ratio", 0.25, "tombstone/live ratio that triggers partition compaction (negative disables)")
+		compactRatio = flag.Float64("compact-ratio", 0.25, "dead/live row ratio that triggers partition compaction (negative disables)")
 		chaosSpec    = flag.String("chaos", "", "DRILLS ONLY: inject storage faults, comma-separated op:kind[@nth][~rate][/pathsub] clauses (e.g. 'sync:fail-after@100/wal', 'write:enospc~0.001'); see internal/fsx")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "deterministic seed for -chaos rate-based rules")
 
@@ -314,7 +314,7 @@ func main() {
 				log.Printf("final checkpoint: %v", err)
 			}
 			st := d.Stats()
-			log.Printf("store: %d upserts, %d deletes, %d fsyncs, %d compactions (%d tombstones folded)",
+			log.Printf("store: %d upserts, %d deletes, %d fsyncs, %d compactions (%d dead rows folded)",
 				st.Upserts, st.Deletes, st.WALFsyncs, st.Compactions, st.Folded)
 			if err := d.Close(); err != nil {
 				log.Printf("store close: %v", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hnsw"
@@ -10,34 +11,40 @@ import (
 )
 
 // Dynamic updates. The paper's engine is built once over a static
-// snapshot; a production deployment also needs inserts and deletes
-// between batch windows. Inserts route new vectors to their home
-// partition's HNSW graph (the VP tree keeps routing correctly: the home
-// partition is by construction the region the point falls into).
-// Deletes are tombstones — HNSW graphs do not support structural removal
-// cheaply, so a deleted ID's rows stay in the graph until a fold rebuilds
-// their partition without them. Until then the tombstone set is one more
-// predicate on the read side (admit): every leg of a search admits only
-// live IDs, exactly as a filter admits only matching ones. A fold is the
-// one exit: it forgets the ID everywhere the engine keys it (see fold).
+// snapshot; a production deployment also needs upserts and deletes
+// between batch windows. One rule covers both: each ID has at most one
+// live row. Liveness belongs to rows — every partition carries the set
+// of its dead rows (index.Local.Dead), and every layout reads a row's
+// bit before it maps the row to an ID — and the engine keeps one
+// locator, ID → (partition, row), over the live ones. An upsert routes
+// the vector to its home partition's HNSW graph (the VP tree keeps
+// routing correctly: the home partition is by construction the region
+// the point falls into), marks the ID's previous row dead and points the
+// ID's slot at the new row; a delete marks the row dead and frees the
+// slot. HNSW graphs do not support structural removal cheaply, so dead
+// rows stay in their graph until a fold rebuilds the partition without
+// them (SwapPartition, Rebuild); tags and text are forgotten then, for
+// the IDs left without a live row.
 //
-// Updates and searches may interleave: the tombstone set takes an
-// RWMutex, and HNSW insertion is internally thread-safe.
+// The locator is built the first time anything upserts, deletes or tags
+// (locateLocked), so an engine that is only searched never allocates it.
+// Mutations serialize on dynamicState.mu. The beams read dead bits
+// without locks; the two legs that resolve IDs themselves — the filter
+// planner's candidate scan and the lexical leg — read the locator under
+// the read lock.
 
-// dynamicState holds the mutable update state attached to every
-// Engine. The pointer is set at construction and never reassigned;
-// the embedded mutex guards the contents.
+// dynamicState is the update state every Engine embeds; its mutex
+// guards the contents.
 type dynamicState struct {
-	mu        sync.RWMutex
-	tombstone map[int64]bool
-	inserted  int64
+	mu sync.RWMutex
+	// slots is the locator: the live row of every ID that has one. It
+	// stays nil until something upserts, deletes or tags.
+	slots    map[int64]slot
+	inserted int64
 }
 
-func newDynamicState() *dynamicState {
-	return &dynamicState{tombstone: make(map[int64]bool)}
-}
-
-func (e *Engine) dyn() *dynamicState { return e.dynamic }
+// slot is where an ID's live row sits.
+type slot struct{ part, row uint32 }
 
 // Add inserts a vector with the given global ID into its home
 // partition. Only engines with HNSW local indexes support insertion.
@@ -77,24 +84,30 @@ func (e *Engine) DrawLevel(p int) (int, error) {
 
 // AddAt inserts a vector into partition p at a predetermined HNSW
 // level — the replay half of the DrawLevel/AddAt pair. Most callers
-// want Add, which routes and draws for them.
+// want Add, which routes and draws for them. An ID that already has a
+// live row is replaced: the new row goes in first, then the old one dies,
+// so a search racing the upsert finds one of the two (topk.Merge keeps
+// an ID once). A document the ID has keeps its text and takes the new
+// vector, which hybrid search re-scores against.
 func (e *Engine) AddAt(p int, v []float32, id int64, level int) error {
-	if len(v) != e.dim {
-		return fmt.Errorf("core: vector dim %d, index dim %d", len(v), e.dim)
-	}
+	d := &e.dynamic
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e.locateLocked()
 	g, err := e.insertGraph(p)
 	if err != nil {
 		return err
 	}
+	row := g.Len() // inserts serialize on d.mu
 	if _, err := g.AddAtLevel(v, id, level); err != nil {
 		return err
 	}
-	e.tags.added(p, g, id)
-	d := e.dyn()
-	d.mu.Lock()
+	if old, ok := d.slots[id]; ok {
+		e.kill(old)
+	}
+	d.slots[id] = slot{uint32(p), uint32(row)}
 	d.inserted++
-	delete(d.tombstone, id) // re-adding a deleted ID revives it
-	d.mu.Unlock()
+	e.lexIndex().SetVector(id, v)
 	return nil
 }
 
@@ -114,96 +127,160 @@ func (e *Engine) insertGraph(p int) (*hnsw.Graph, error) {
 // Inserted returns the number of vectors added since construction (or
 // since the last Rebuild).
 func (e *Engine) Inserted() int64 {
-	d := e.dyn()
+	d := &e.dynamic
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.inserted
 }
 
-// Delete tombstones an ID: it stops appearing in results immediately.
-// Deleting an unknown ID is a no-op (idempotent).
+// Delete marks id's live row dead and frees its slot: the ID stops
+// appearing in results immediately. Deleting an ID without a live row is
+// a no-op (idempotent).
 func (e *Engine) Delete(id int64) {
-	d := e.dyn()
+	d := &e.dynamic
 	d.mu.Lock()
-	d.tombstone[id] = true
+	defer d.mu.Unlock()
+	e.locateLocked()
+	if s, ok := d.slots[id]; ok {
+		e.kill(s)
+		delete(d.slots, id)
+	}
+}
+
+// kill marks s's row dead. Caller holds d.mu.
+func (e *Engine) kill(s slot) {
+	_, parts := e.view()
+	parts[s.part].Dead().Kill(int(s.row))
+}
+
+// locateLocked builds the locator from the rows the partitions hold, once:
+// every live row takes its ID's slot. Where one ID has several live
+// rows — only an engine image written before upserts replaced can — the
+// later row of one partition wins, and across partitions the
+// lower-numbered partition wins; the losers die, so every ID is left
+// with at most one live row. Caller holds d.mu.
+func (e *Engine) locateLocked() {
+	d := &e.dynamic
+	if d.slots != nil {
+		return
+	}
+	d.slots = make(map[int64]slot, e.Len())
+	_, parts := e.view()
+	for p, l := range parts {
+		ds, dead := l.Rows(), l.Dead()
+		for row := 0; row < ds.Len(); row++ {
+			if dead.Has(row) {
+				continue
+			}
+			id := ds.ID(row)
+			if old, ok := d.slots[id]; ok {
+				if int(old.part) != p {
+					dead.Kill(row)
+					continue
+				}
+				dead.Kill(int(old.row))
+			}
+			d.slots[id] = slot{uint32(p), uint32(row)}
+		}
+	}
+}
+
+// locate builds the locator if nothing has yet.
+func (e *Engine) locate() {
+	d := &e.dynamic
+	d.mu.Lock()
+	e.locateLocked()
 	d.mu.Unlock()
 }
 
-// Deleted reports whether id is tombstoned.
-func (e *Engine) Deleted(id int64) bool {
-	d := e.dyn()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.tombstone[id]
-}
-
-// TombstoneIDs returns a copy of the current tombstone set. The
-// durability layer's compactor uses it to find the partitions carrying
-// the most dead weight.
-func (e *Engine) TombstoneIDs() []int64 {
-	d := e.dyn()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids := make([]int64, 0, len(d.tombstone))
-	for id := range d.tombstone {
-		ids = append(ids, id)
+// DeadRows returns every partition's dead rows, ascending, keyed by
+// partition; partitions without any are absent. Save captures the
+// graphs but not which of their rows are dead, so the durable store
+// persists this beside each snapshot and hands it back to
+// RestoreDynamic.
+func (e *Engine) DeadRows() map[int][]uint32 {
+	_, parts := e.view()
+	dead := make(map[int][]uint32)
+	for p, l := range parts {
+		if rows := l.Dead().Rows(); rows != nil {
+			dead[p] = rows
+		}
 	}
-	return ids
+	return dead
 }
 
-// RestoreDynamic reinstates update state that lives outside the engine
-// file: the tombstone set and the inserted counter. Save captures the
-// graphs but not this state, so the durable store persists it alongside
-// each snapshot and calls RestoreDynamic after LoadEngine during
-// recovery — otherwise a checkpoint would silently resurrect every ID
-// deleted before it.
-func (e *Engine) RestoreDynamic(tombstones []int64, inserted int64) {
-	d := e.dyn()
+// RestoreDynamic reinstates the update state Save does not capture —
+// each partition's dead rows (DeadRows) and the inserted counter — and
+// builds the locator from the rows left live (see locateLocked for the rule
+// an image with duplicate IDs opens under). The durable store calls it
+// after LoadEngine during recovery. A row past the end of its partition,
+// or named twice, is an error: the rows do not describe this image.
+func (e *Engine) RestoreDynamic(dead map[int][]uint32, inserted int64) error {
+	_, parts := e.view()
+	for p, rows := range dead {
+		if p < 0 || p >= len(parts) {
+			return fmt.Errorf("core: dead rows name partition %d of %d", p, len(parts))
+		}
+		for _, row := range rows {
+			if int(row) >= parts[p].Len() {
+				return fmt.Errorf("core: dead row %d is past the end of partition %d (%d rows)", row, p, parts[p].Len())
+			}
+			if !parts[p].Dead().Kill(int(row)) {
+				return fmt.Errorf("core: dead row %d of partition %d is named twice", row, p)
+			}
+		}
+	}
+	d := &e.dynamic
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.tombstone = make(map[int64]bool, len(tombstones))
-	for _, id := range tombstones {
-		d.tombstone[id] = true
-	}
 	d.inserted = inserted
+	d.slots = nil
+	e.locateLocked()
+	return nil
 }
 
-// Tombstones returns the number of tombstoned IDs.
+// Tombstones returns the number of dead rows waiting for a fold: rows
+// deleted or superseded by an upsert that their partitions still hold.
 func (e *Engine) Tombstones() int {
-	d := e.dyn()
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.tombstone)
+	_, parts := e.view()
+	n := 0
+	for _, l := range parts {
+		n += l.Dead().Count()
+	}
+	return n
 }
 
-// admit is the read side's one deletion rule: the predicate every leg
-// of a search honours, not tombstoned and keep (nil admits every ID).
-// While there are no tombstones it is keep itself, so a search on an
-// engine that never deletes takes the path it always has. The tombstone
-// is asked first: fold clears it last, so an ID it lets through has
-// already lost the tags keep would match.
+// admit is the lexical leg's liveness rule: keep (nil admits every ID)
+// and, once the engine locates its IDs, a live row. A deleted ID's
+// document stays in the index until a fold forgets it; this hides it
+// meanwhile. The vector legs need no such rule: they read the dead bit
+// of every row they visit.
 func (e *Engine) admit(keep func(int64) bool) func(int64) bool {
-	d := e.dyn()
+	d := &e.dynamic
 	d.mu.RLock()
-	none := len(d.tombstone) == 0
+	located := d.slots != nil
 	d.mu.RUnlock()
-	if none {
+	if !located {
 		return keep
 	}
 	return func(id int64) bool {
 		d.mu.RLock()
-		dead := d.tombstone[id]
+		_, live := d.slots[id]
 		d.mu.RUnlock()
-		return !dead && (keep == nil || keep(id))
+		return live && (keep == nil || keep(id))
 	}
 }
 
-// fold forgets IDs whose rows the rebuilt partitions no longer hold,
-// everywhere the engine keys them: tags and postings first, then the
-// lexical document, and the tombstone last, so a search racing the fold
-// finds each ID either still tombstoned or with nothing left to match.
-// SwapPartition and Rebuild call it once the new partitions are in.
+// fold forgets the tags and text of the IDs in ids that have no live
+// row left. SwapPartition and Rebuild call it, holding d.mu so no upsert
+// gives one of them a row meanwhile, once the partitions that held their
+// dead rows are gone.
 func (e *Engine) fold(ids []int64) {
+	d := &e.dynamic
+	ids = slices.DeleteFunc(ids, func(id int64) bool {
+		_, live := d.slots[id]
+		return live
+	})
 	if len(ids) == 0 {
 		return
 	}
@@ -212,30 +289,24 @@ func (e *Engine) fold(ids []int64) {
 	for _, id := range ids {
 		lex.Delete(id)
 	}
-	d := e.dyn()
-	d.mu.Lock()
-	for _, id := range ids {
-		delete(d.tombstone, id)
-	}
-	d.mu.Unlock()
 }
 
 // Rebuild compacts the engine: it re-partitions and re-indexes the
-// current live contents (original + inserted - tombstoned vectors) and
-// folds every tombstone it found. The paper rebuilds offline between
-// batch windows; this is that operation in-process.
+// live rows and folds the IDs of the dead ones. The paper rebuilds
+// offline between batch windows; this is that operation in-process.
 func (e *Engine) Rebuild() error {
-	dead := e.TombstoneIDs()
+	d := &e.dynamic
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	_, parts := e.view()
 	live := vec.NewDataset(e.dim, e.Len())
+	var dead []int64
 	for _, p := range parts {
-		g, ok := index.HNSWGraph(p)
-		if !ok {
-			return fmt.Errorf("core: Rebuild requires HNSW local indexes, have %q", p.Kind())
-		}
-		ds := g.Data()
+		ds, gone := p.Rows(), p.Dead()
 		for i := 0; i < ds.Len(); i++ {
-			if !e.Deleted(ds.ID(i)) {
+			if gone.Has(i) {
+				dead = append(dead, ds.ID(i))
+			} else {
 				live.Append(ds.At(i), ds.ID(i))
 			}
 		}
@@ -248,11 +319,11 @@ func (e *Engine) Rebuild() error {
 	e.tree = fresh.tree
 	e.parts = fresh.parts
 	e.swapMu.Unlock()
-	e.tags.rebuilt(fresh.parts)
+	if d.slots != nil {
+		d.slots = nil
+		e.locateLocked()
+	}
 	e.fold(dead)
-	d := e.dyn()
-	d.mu.Lock()
 	d.inserted = 0
-	d.mu.Unlock()
 	return nil
 }

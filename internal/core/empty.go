@@ -33,13 +33,12 @@ func NewEmptyEngine(dim int, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		dim:     dim,
-		tree:    vptree.NewPartitionTree(dim, cfg.Metric, &vptree.PNode{Leaf: 0}),
-		parts:   []index.Local{index.WrapHNSW(g)},
-		dynamic: newDynamicState(),
-		tags:    newTagStore(),
-		lex:     lexical.NewIndex(lexical.Config{}),
+		cfg:   cfg,
+		dim:   dim,
+		tree:  vptree.NewPartitionTree(dim, cfg.Metric, &vptree.PNode{Leaf: 0}),
+		parts: []index.Local{index.WrapHNSW(g)},
+		tags:  newTagStore(),
+		lex:   lexical.NewIndex(lexical.Config{}),
 	}
 	if cfg.Frozen {
 		if err := e.Freeze(hnsw.FreezeOptions{SQ8: cfg.SQ8, RerankK: cfg.RerankK}); err != nil {

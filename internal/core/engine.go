@@ -42,9 +42,9 @@ type Engine struct {
 	// SwapPartition while it is on are re-frozen before they land.
 	freeze freezeState
 
-	// dynamic is set at construction and never reassigned, so it can be
-	// read without holding swapMu; its own mutex guards the contents.
-	dynamic *dynamicState
+	// dynamic is the update state: the locator and the inserted
+	// counter, under its own mutex (see dynamic.go).
+	dynamic dynamicState
 
 	// tags holds per-vector metadata as postings, consulted by filtered
 	// search; set at construction and never reassigned (internally
@@ -81,7 +81,7 @@ func NewEngine(ds *vec.Dataset, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, tree: res.Tree, parts: make([]index.Local, cfg.Partitions), dim: ds.Dim, dynamic: newDynamicState(), tags: newTagStore(), lex: lexical.NewIndex(lexical.Config{})}
+	e := &Engine{cfg: cfg, tree: res.Tree, parts: make([]index.Local, cfg.Partitions), dim: ds.Dim, tags: newTagStore(), lex: lexical.NewIndex(lexical.Config{})}
 
 	// Build the partition indexes in parallel, one builder goroutine per
 	// CPU (each build itself is single-threaded for reproducibility).
@@ -205,8 +205,8 @@ func (e *Engine) SearchFiltered(q []float32, k int, f *filter.Expr) ([]topk.Resu
 // counted first: when the candidates are no more than the rows the
 // beam's work is worth (scanBeatsBeam), their rows are scored exactly
 // across every partition and routing does not run; otherwise the
-// predicate rides along in the beam. Either way only the IDs admit lets
-// through are returned, so tombstoned IDs never take a place in the k.
+// predicate rides along in the beam. Either way only live rows are
+// scored, so a deleted or superseded row never takes a place in the k.
 func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk.Result, index.Stats, error) {
 	if len(q) != e.dim {
 		return nil, index.Stats{}, fmt.Errorf("core: query dim %d, index dim %d", len(q), e.dim)
@@ -239,7 +239,7 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 	}
 	if lists == nil {
 		var err error
-		if lists, total, err = e.beam(q, k, e.admit(keep), tree, parts); err != nil {
+		if lists, total, err = e.beam(q, k, keep, tree, parts); err != nil {
 			return nil, total, err
 		}
 	}
@@ -247,13 +247,20 @@ func (e *Engine) SearchFilteredStats(q []float32, k int, f *filter.Expr) ([]topk
 }
 
 // beam routes q and runs one local search per routed partition, keep
-// (nil for none) riding along in each.
+// (nil for none) riding along in each. Every partition's dead rows are
+// read once, before the first search, so the query sees one moment of
+// the engine's upserts (see vec.Dead).
 func (e *Engine) beam(q []float32, k int, keep func(int64) bool, tree *vptree.PartitionTree, parts []index.Local) ([][]topk.Result, index.Stats, error) {
 	var (
 		routes []vptree.Route
 		lists  [][]topk.Result
 		total  index.Stats
+		buf    [16]vec.DeadBits
 	)
+	dead := buf[:0]
+	for _, p := range parts {
+		dead = append(dead, p.Dead().Bits())
+	}
 	home := -1
 	if e.cfg.Routing == RouteAdaptive {
 		// Search home first, then widen to the ball of the current k-th
@@ -261,7 +268,7 @@ func (e *Engine) beam(q []float32, k int, keep func(int64) bool, tree *vptree.Pa
 		// than the unfiltered one, so the ball — and hence the route
 		// set — is conservative (correct, possibly wider).
 		home = tree.Home(q)
-		first, st, err := parts[home].SearchFiltered(q, k, keep)
+		first, st, err := parts[home].SearchFiltered(q, k, keep, dead[home])
 		if err != nil {
 			return nil, st, err
 		}
@@ -278,7 +285,7 @@ func (e *Engine) beam(q []float32, k int, keep func(int64) bool, tree *vptree.Pa
 		if rt.Partition == home {
 			continue
 		}
-		rs, st, err := parts[rt.Partition].SearchFiltered(q, k, keep)
+		rs, st, err := parts[rt.Partition].SearchFiltered(q, k, keep, dead[rt.Partition])
 		if err != nil {
 			return nil, total, err
 		}
@@ -404,13 +411,19 @@ func (e *Engine) PartitionGraph(p int) (*hnsw.Graph, bool) {
 	return index.HNSWGraph(parts[p])
 }
 
-// SwapPartition atomically replaces partition p's local index with l
-// and folds the IDs in folded: those the replacement index was rebuilt
-// without. No partition may hold a row of a folded ID once l is in, or
-// that row is live again. Concurrent searches see either the old or the
-// new index, never a mix; a folded ID stays tombstoned until the swap
-// has landed, so the old index hides it too.
-func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
+// SwapPartition atomically replaces partition p's local index with l,
+// whose row i holds what row kept[i] of the index it replaces held — a
+// compaction's rebuild from the rows that were live when it began. Rows
+// that died since are marked dead in l, the locator moves to l's row
+// numbers, and the IDs whose rows l leaves out or holds dead are folded
+// unless they have a live row elsewhere. Concurrent searches see either
+// the old or the new index, never a mix; the old index keeps its dead
+// bits, which never clear, so a search still holding it hides what it
+// hid.
+func (e *Engine) SwapPartition(p int, l index.Local, kept []uint32) error {
+	if len(kept) != l.Len() {
+		return fmt.Errorf("core: swap partition %d: %d rows, %d kept", p, l.Len(), len(kept))
+	}
 	// In frozen mode the replacement is re-frozen before it lands, so the
 	// flat serving layout survives compaction. The O(n) freeze runs
 	// before taking the write lock; a concurrent Freeze/Unfreeze changing
@@ -426,16 +439,44 @@ func (e *Engine) SwapPartition(p int, l index.Local, folded []int64) error {
 		}
 		l = fl
 	}
-	e.swapMu.Lock()
-	if p < 0 || p >= len(e.parts) {
-		e.swapMu.Unlock()
-		return fmt.Errorf("core: swap partition %d out of range [0,%d)", p, len(e.parts))
+	d := &e.dynamic
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e.locateLocked()
+	_, parts := e.view()
+	if p < 0 || p >= len(parts) {
+		return fmt.Errorf("core: swap partition %d out of range [0,%d)", p, len(parts))
 	}
-	parts := append([]index.Local(nil), e.parts...)
+	old, rows := parts[p].Rows(), l.Rows()
+	oldDead, dead := parts[p].Dead(), l.Dead()
+	at := make([]int, old.Len()) // old row -> its row in l, -1 for none
+	for r := range at {
+		at[r] = -1
+	}
+	for i, r := range kept {
+		if int(r) >= len(at) || rows.ID(i) != old.ID(int(r)) {
+			return fmt.Errorf("core: swap partition %d: row %d does not hold row %d", p, i, r)
+		}
+		at[r] = i
+	}
+	var folded []int64
+	for r, i := range at {
+		switch {
+		case !oldDead.Has(r) && i >= 0:
+			d.slots[old.ID(r)] = slot{uint32(p), uint32(i)}
+			continue
+		case i >= 0:
+			dead.Kill(i)
+		case !oldDead.Has(r):
+			delete(d.slots, old.ID(r)) // a live row l leaves out
+		}
+		folded = append(folded, old.ID(r))
+	}
+	e.swapMu.Lock()
+	parts = append([]index.Local(nil), e.parts...)
 	parts[p] = l
 	e.parts = parts
 	e.swapMu.Unlock()
-	e.tags.swapped(p, l)
 	e.fold(folded)
 	return nil
 }
@@ -540,12 +581,11 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("core: decoding routing tree: %w", err)
 	}
 	e := &Engine{
-		tree:    tree,
-		parts:   make([]index.Local, np),
-		dim:     dim,
-		dynamic: newDynamicState(),
-		tags:    newTagStore(),
-		lex:     lexical.NewIndex(lexical.Config{}),
+		tree:  tree,
+		parts: make([]index.Local, np),
+		dim:   dim,
+		tags:  newTagStore(),
+		lex:   lexical.NewIndex(lexical.Config{}),
 	}
 	for i := range e.parts {
 		g, err := hnsw.ReadFrom(br)

@@ -193,9 +193,9 @@ func TestEngineFilteredVsPostFilter(t *testing.T) {
 //     in full in every answer to that query;
 //   - no ID is returned twice, and none whose tags never satisfied the
 //     filter at any time;
-//   - no ID deleted before the query began is returned (a query that
-//     overlapped a partition swap is exempt: it may hold the old
-//     partition while the swap clears the tombstones it folded);
+//   - no ID deleted before the query began is returned, also not by a
+//     query that overlapped a partition swap: the partition it holds
+//     keeps its dead rows dead;
 //   - the re-upserted ID is reported at the distance of a vector at
 //     least as new as the one current when the query began.
 func TestFilteredSearchConcurrentMutation(t *testing.T) {
@@ -259,13 +259,12 @@ func filteredChurn(t *testing.T, mutate func(*Config)) {
 	}
 
 	var (
-		moverVer  atomic.Int64 // newest version whose Add has returned
-		deadSeq   atomic.Int64
-		swapEpoch atomic.Int64 // odd while a swap is in progress
-		deadMu    sync.RWMutex
-		deadAt    = map[int64]int64{} // id -> deadSeq after its Delete returned
-		done      = make(chan struct{})
-		wg        sync.WaitGroup
+		moverVer atomic.Int64 // newest version whose Add has returned
+		deadSeq  atomic.Int64
+		deadMu   sync.RWMutex
+		deadAt   = map[int64]int64{} // id -> deadSeq after its Delete returned
+		done     = make(chan struct{})
+		wg       sync.WaitGroup
 	)
 
 	for w := 0; w < 3; w++ {
@@ -287,14 +286,13 @@ func filteredChurn(t *testing.T, mutate func(*Config)) {
 				if !atCenter {
 					q = ds.At(rng.Intn(n))
 				}
-				dead0, epoch0, ver0 := deadSeq.Load(), swapEpoch.Load(), moverVer.Load()
+				dead0, ver0 := deadSeq.Load(), moverVer.Load()
 				rs, err := e.SearchFiltered(q, k, filter.MustParse(expr))
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				ver1 := moverVer.Load() + 1 // an Add may have landed without its store yet
-				swapped := epoch0%2 == 1 || swapEpoch.Load() != epoch0
 				seen := map[int64]bool{}
 				deadMu.RLock()
 				for _, r := range rs {
@@ -305,7 +303,7 @@ func filteredChurn(t *testing.T, mutate func(*Config)) {
 					if !ever(r.ID) {
 						t.Errorf("%s: id %d never carried a matching tag", expr, r.ID)
 					}
-					if at, ok := deadAt[r.ID]; ok && at <= dead0 && !swapped {
+					if at, ok := deadAt[r.ID]; ok && at <= dead0 {
 						t.Errorf("%s: id %d was deleted before the query began", expr, r.ID)
 					}
 					if r.ID == mover && atCenter {
@@ -373,9 +371,7 @@ func filteredChurn(t *testing.T, mutate func(*Config)) {
 			moverVer.Store(ver)
 		}
 		if i%40 == 39 {
-			swapEpoch.Add(1)
 			compactForTest(t, e, (i/40)%e.Partitions())
-			swapEpoch.Add(1)
 		}
 	}
 	close(done)
@@ -448,9 +444,8 @@ func TestDeletedNearestNeighbors(t *testing.T) {
 	}
 }
 
-// compactForTest rebuilds partition p without its tombstoned rows and
-// swaps it in, as the store's compactor does. The caller is the only
-// writer.
+// compactForTest rebuilds partition p without its dead rows and swaps
+// it in, as the store's compactor does. The caller is the only writer.
 func compactForTest(t *testing.T, e *Engine, p int) {
 	t.Helper()
 	g, ok := e.PartitionGraph(p)
@@ -459,19 +454,18 @@ func compactForTest(t *testing.T, e *Engine, p int) {
 	}
 	rows := g.DataSnapshot()
 	live := vec.NewDataset(rows.Dim, rows.Len())
-	var folded []int64
+	var kept []uint32
 	for i := 0; i < rows.Len(); i++ {
-		if id := rows.ID(i); e.Deleted(id) {
-			folded = append(folded, id)
-		} else {
-			live.Append(rows.At(i), id)
+		if !g.Dead().Has(i) {
+			live.Append(rows.At(i), rows.ID(i))
+			kept = append(kept, uint32(i))
 		}
 	}
 	ng, _, err := hnsw.Build(live, g.Config(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SwapPartition(p, index.WrapHNSW(ng), folded); err != nil {
+	if err := e.SwapPartition(p, index.WrapHNSW(ng), kept); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -196,7 +196,7 @@ func TestFrozenModeSurvivesSwapAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SwapPartition(0, index.WrapHNSW(ng), nil); err != nil {
+	if err := e.SwapPartition(0, index.WrapHNSW(ng), allRows(pds.Len())); err != nil {
 		t.Fatal(err)
 	}
 	if fi, _ := e.FrozenInfo(); fi.Partitions != 4 {
@@ -315,7 +315,7 @@ func TestFreezeDuringTraffic(t *testing.T) {
 				errCh <- err
 				return
 			}
-			if err := e.SwapPartition(p, index.WrapHNSW(ng), nil); err != nil {
+			if err := e.SwapPartition(p, index.WrapHNSW(ng), allRows(pds.Len())); err != nil {
 				errCh <- err
 				return
 			}
@@ -342,4 +342,13 @@ func TestFreezeDuringTraffic(t *testing.T) {
 	if !ok || fi.Searches == 0 {
 		t.Fatalf("frozen path unexercised: %+v ok=%v", fi, ok)
 	}
+}
+
+// allRows is the kept list of a rebuild that carries every row over.
+func allRows(n int) []uint32 {
+	kept := make([]uint32, n)
+	for i := range kept {
+		kept[i] = uint32(i)
+	}
+	return kept
 }

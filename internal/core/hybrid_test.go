@@ -229,14 +229,16 @@ func TestSearchHybridFilterAndTombstones(t *testing.T) {
 		}
 	}
 
-	// Tombstoned documents never score on the lexical leg, and once a
-	// compaction folds the tombstone the document is gone with it.
+	// A deleted document never scores on the lexical leg, and once a
+	// compaction folds its dead row the document is gone with it.
 	e.Delete(42)
-	for _, stage := range []string{"tombstoned", "folded"} {
+	for _, stage := range []string{"deleted", "folded"} {
 		if stage == "folded" {
-			compactForTest(t, e, 0)
-			if e.Deleted(42) {
-				t.Fatal("compaction left the tombstone")
+			for p := 0; p < e.Partitions(); p++ {
+				compactForTest(t, e, p)
+			}
+			if _, ok := e.Text(42); ok || e.Tombstones() != 0 {
+				t.Fatal("compaction left the dead row or its document")
 			}
 		}
 		rs, err = e.SearchHybrid(nil, "needle", 10, HybridOptions{})

@@ -16,8 +16,8 @@ import (
 // (internal/lexical) next to its vector partitions, populated by
 // SetText and queried by SearchHybrid. The vector leg runs the existing
 // dynamic/frozen/filtered search paths unchanged; the lexical leg
-// queries the inverted index under the same predicate (admit: filter
-// and tombstones), and a fold deletes the document for good;
+// queries the inverted index under the filter and the engine's
+// liveness rule (admit), and a fold deletes the document for good;
 // internal/fusion merges the two rankings. The lexical
 // index also retains each document's vector, so fused candidates are
 // re-scored with exact float32 distances — the approximate legs decide
@@ -148,7 +148,7 @@ func (e *Engine) LexicalDump(w io.Writer) error { return e.lexIndex().DumpPostin
 func (e *Engine) RestoreTexts(docs map[int64]lexical.Doc) { e.lexIndex().Restore(docs) }
 
 // SearchLexical runs the BM25 leg alone: top-k keyword matches under
-// the engine's tombstones and an optional filter.
+// the engine's liveness rule and an optional filter.
 func (e *Engine) SearchLexical(text string, k int, f *filter.Expr) []lexical.Scored {
 	return e.lexIndex().Search(text, k, e.admit(e.FilterPredicate(f)))
 }
@@ -156,7 +156,7 @@ func (e *Engine) SearchLexical(text string, k int, f *filter.Expr) []lexical.Sco
 // SearchHybrid answers a hybrid query: the vector leg (when q is
 // non-nil) runs the regular approximate search, the lexical leg (when
 // text is non-empty) runs BM25 over the inverted index, and the two
-// rankings are fused. Both legs honor opts.Filter and tombstones. At
+// rankings are fused. Both legs honor opts.Filter and deletes. At
 // least one leg must be present.
 //
 // Candidates from either leg are re-scored with exact float32 distances

@@ -198,7 +198,7 @@ func serveOwnerRequest(c *cluster.Comm, built *Built, pay []byte) error {
 	if g == nil {
 		return fmt.Errorf("core: rank %d does not host partition %d", c.Rank(), qm.Partition)
 	}
-	rs, hst, err := g.Search(qm.Vec, int(qm.K))
+	rs, hst, err := g.SearchFiltered(qm.Vec, int(qm.K), nil, nil)
 	if err != nil {
 		return err
 	}

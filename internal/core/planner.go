@@ -81,31 +81,28 @@ func (sc *planScratch) release() {
 }
 
 // scanCandidates answers a filtered search from the postings: every ID
-// on the smallest conjunct's lists that is live (admit), still
-// satisfies the whole filter and has a vector is resolved to its row and
-// scored exactly, whatever partition holds it. It returns the k nearest
-// and the number of rows scored. Rows are resolved against parts, the
-// caller's snapshot; a location that does not check out there (the row
-// is past the end, or carries another ID) belongs to a partition swapped
-// in or out since, and the scan gives up — ok false — so the query runs
-// the beam on its snapshot instead. An ID with several rows (a re-upsert
-// keeps the old row in the graph) is scored once, at the row its newest
-// insert placed.
+// on the smallest conjunct's lists that has a live row and still
+// satisfies the whole filter is scored exactly at the row the locator
+// names, whatever partition holds it. It returns the k nearest and the
+// number of rows scored. Rows are resolved against parts, the caller's
+// snapshot; a location that does not check out there (the row is past
+// the end, or carries another ID) belongs to a partition swapped in or
+// out since, and the scan gives up — ok false — so the query runs the
+// beam on its snapshot instead.
 func (e *Engine) scanCandidates(q []float32, k int, sc *planScratch, parts []index.Local) (rs []topk.Result, scored int64, ok bool) {
 	tf := &sc.tf
 	sc.rows = append(sc.rows[:0], make([]*vec.Dataset, len(parts))...)
 	scan := index.NewScan(q, k, e.cfg.Metric)
-	live := e.admit(nil) // the filter is matched on the entry below
+	d := &e.dynamic
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for _, post := range tf.posts {
 		for _, id := range post {
-			if live != nil && !live(id) {
+			s, live := d.slots[id]
+			if !live || !tf.match(id) {
 				continue
 			}
-			ent := tf.t.entry(id)
-			if ent == nil || ent.part < 0 || !tf.matchTerms(ent.terms) {
-				continue
-			}
-			p, row := int(ent.part), int(ent.row)
+			p, row := int(s.part), int(s.row)
 			if p >= len(parts) {
 				return nil, 0, false
 			}

@@ -196,7 +196,7 @@ func TestFilteredExactLocals(t *testing.T) {
 			_, parts := e.view()
 			var lists [][]topk.Result
 			for _, p := range parts {
-				rs, _, err := p.SearchFiltered(ds.At(0), 10, keep)
+				rs, _, err := p.SearchFiltered(ds.At(0), 10, keep, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

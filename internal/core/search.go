@@ -571,7 +571,7 @@ func (d *Distributed) serveBatch(hdr batchHeader) error {
 					fail(fmt.Errorf("core: worker %d asked for partition %d it does not host", c.Rank(), qm.Partition))
 					return
 				}
-				rs, hst, err := g.Search(qm.Vec, int(qm.K))
+				rs, hst, err := g.SearchFiltered(qm.Vec, int(qm.K), nil, nil)
 				if err != nil {
 					fail(err)
 					return

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/filter"
-	"repro/internal/hnsw"
-	"repro/internal/index"
 )
 
 // Per-vector metadata tags, stored as postings. A tag is a key=value
@@ -20,8 +18,8 @@ import (
 // carrying it (its posting list) and, per ID, the sorted list of its
 // term ordinals — so it can answer both "does this ID match" (under the
 // graph beam) and "which IDs match, and how many" (the filter planner,
-// see Engine.scanBeatsBeam). Once an engine has tags the per-ID entry
-// also locates the ID's newest vector, which is what lets a posting be
+// see Engine.scanBeatsBeam). The engine's locator, which tagging
+// builds, turns a posting into the ID's live row, so a posting can be
 // scored without a graph. An engine that never sets a tag allocates
 // none of this.
 //
@@ -39,9 +37,6 @@ type tagStore struct {
 
 	ids sync.Map // int64 -> *idEntry
 
-	// located is set once the per-ID entries carry locations; from then
-	// on every insert and partition swap keeps them current.
-	located  atomic.Bool
 	tagged   atomic.Int64 // IDs carrying tags
 	postings atomic.Int64 // entries across all posting lists
 }
@@ -51,13 +46,11 @@ type tagStore struct {
 // never changes meaning under a compiled filter.
 type tagTerm struct{ key, val string }
 
-// idEntry is what the store holds for one global ID: its tags as sorted
-// term ordinals and where its newest vector sits. Entries are immutable
-// once published; a change installs a new one.
+// idEntry is what the store holds for one tagged global ID: its tags as
+// sorted term ordinals. Entries are immutable once published; a change
+// installs a new one.
 type idEntry struct {
 	terms []uint32
-	part  int32 // partition of the newest row, -1 while none is known
-	row   uint32
 }
 
 func newTagStore() *tagStore { return &tagStore{} }
@@ -67,16 +60,6 @@ func (t *tagStore) entry(id int64) *idEntry {
 		return v.(*idEntry)
 	}
 	return nil
-}
-
-// put publishes id's entry; one with neither tags nor a location is
-// dropped.
-func (t *tagStore) put(id int64, terms []uint32, part int32, row uint32) {
-	if len(terms) == 0 && part < 0 {
-		t.ids.Delete(id)
-		return
-	}
-	t.ids.Store(id, &idEntry{terms: terms, part: part, row: row})
 }
 
 // intern returns the ordinal of key=val, assigning the next one to a
@@ -134,8 +117,7 @@ func (t *tagStore) unpost(o uint32, id int64) {
 	t.postings.Add(-1)
 }
 
-// set replaces id's tags (none removes them), keeping its location.
-// Caller holds mu.
+// set replaces id's tags (none removes them). Caller holds mu.
 func (t *tagStore) set(id int64, tags map[string]string) {
 	var terms []uint32
 	if len(tags) > 0 {
@@ -146,9 +128,8 @@ func (t *tagStore) set(id int64, tags map[string]string) {
 		slices.Sort(terms)
 	}
 	var had []uint32
-	part, row := int32(-1), uint32(0)
 	if old := t.entry(id); old != nil {
-		had, part, row = old.terms, old.part, old.row
+		had = old.terms
 	}
 	for _, o := range had {
 		if _, keeps := slices.BinarySearch(terms, o); !keeps {
@@ -166,89 +147,20 @@ func (t *tagStore) set(id int64, tags map[string]string) {
 	case len(had) > 0 && len(terms) == 0:
 		t.tagged.Add(-1)
 	}
-	t.put(id, terms, part, row)
-}
-
-// placeRows records the rows partition part holds now. An ID the locator
-// already places in another partition stays there: a rebuilt partition
-// still carries the stale row of a vector re-upserted elsewhere. Rows
-// ascend, so of two rows with one ID in the same partition the later —
-// newer — one wins. Caller holds mu.
-func (t *tagStore) placeRows(part int, l index.Local) {
-	ds := l.Rows()
-	for row := 0; row < ds.Len(); row++ {
-		id := ds.ID(row)
-		if old := t.entry(id); old == nil || old.part < 0 || int(old.part) == part {
-			t.place(id, old, part, row)
-		}
+	if len(terms) == 0 {
+		t.ids.Delete(id)
+	} else {
+		t.ids.Store(id, &idEntry{terms: terms})
 	}
 }
 
-// place publishes id's entry with a new location, keeping the tags of
-// old, its current entry (nil for none). Caller holds mu.
-func (t *tagStore) place(id int64, old *idEntry, part, row int) {
-	var terms []uint32
-	if old != nil {
-		terms = old.terms
-	}
-	t.put(id, terms, int32(part), uint32(row))
-}
-
-// forget drops ids that left the index for good: tags, postings and
-// location.
+// forget drops the tags and postings of ids that left the index for
+// good.
 func (t *tagStore) forget(ids []int64) {
-	if !t.located.Load() {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, id := range ids {
 		t.set(id, nil)
-		t.ids.Delete(id)
-	}
-}
-
-// added places the row an insert of id into partition part's graph just
-// appended: the last row carrying the ID.
-func (t *tagStore) added(part int, g *hnsw.Graph, id int64) {
-	if !t.located.Load() {
-		return
-	}
-	ds := g.DataSnapshot()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for row := ds.Len() - 1; row >= 0; row-- {
-		if ds.ID(row) == id {
-			t.place(id, t.entry(id), part, row)
-			return
-		}
-	}
-}
-
-// swapped follows a partition swap: every row of the partition has a
-// new number. The IDs the swap folded are forgotten by Engine.fold.
-func (t *tagStore) swapped(part int, l index.Local) {
-	if !t.located.Load() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.placeRows(part, l)
-}
-
-// rebuilt follows Engine.Rebuild: every row of every partition moved.
-func (t *tagStore) rebuilt(parts []index.Local) {
-	if !t.located.Load() {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ids.Range(func(k, v any) bool {
-		t.put(k.(int64), v.(*idEntry).terms, -1, 0)
-		return true
-	})
-	for p, l := range parts {
-		t.placeRows(p, l)
 	}
 }
 
@@ -342,36 +254,17 @@ func intersects(a, b []uint32) bool {
 	return false
 }
 
-// locate makes the per-ID entries carry locations, from the rows the
-// partitions hold now. The flag goes up before the rows are read so an
-// insert that misses the flag has already appended its row — the scan
-// below sees it — and one that sees the flag places its row itself once
-// mu is free. Where two partitions hold a row with the same ID the
-// lower-numbered one wins; until a new upsert says otherwise the locator
-// cannot know which is newer (neither can the beam, which reports
-// whichever scores lower). Caller holds t.mu.
-func (e *Engine) locate() {
-	e.tags.located.Store(true)
-	_, parts := e.view()
-	for p, l := range parts {
-		e.tags.placeRows(p, l)
-	}
-}
-
 // SetTags attaches metadata tags to a global ID (replacing any previous
 // tags); nil or empty tags remove the entry. The map is not retained.
 // Safe for concurrent use with searches. Tags may be set before the ID
 // has a vector; it starts matching filtered searches once it does.
 func (e *Engine) SetTags(id int64, tags map[string]string) {
+	if len(tags) > 0 {
+		e.locate()
+	}
 	t := e.tags
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.located.Load() {
-		if len(tags) == 0 {
-			return // nothing tagged yet, nothing to remove
-		}
-		e.locate()
-	}
 	t.set(id, tags)
 }
 
@@ -412,6 +305,9 @@ func (e *Engine) TagsSnapshot() map[int64]map[string]string {
 // it stays safe against concurrent readers, and refilled in ascending
 // ID order, which is the order posting lists append in.
 func (e *Engine) RestoreTags(tags map[int64]map[string]string) {
+	if len(tags) > 0 {
+		e.locate()
+	}
 	t := e.tags
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -422,11 +318,6 @@ func (e *Engine) RestoreTags(tags map[int64]map[string]string) {
 	t.ord, t.names, t.posts = nil, nil, nil
 	t.tagged.Store(0)
 	t.postings.Store(0)
-	t.located.Store(false)
-	if len(tags) == 0 {
-		return
-	}
-	e.locate()
 	ids := make([]int64, 0, len(tags))
 	for id := range tags {
 		ids = append(ids, id)

@@ -72,21 +72,21 @@ func TestSearchFilteredGolden(t *testing.T) {
 					t.Fatal("filtered ground truth empty")
 				}
 
-				got, _, err := g.SearchEfFiltered(q, k, ef, keep)
+				got, _, err := g.SearchEfFiltered(q, k, ef, keep, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertAllMatch(t, got, keep)
 				sumDyn += recallOf(got, truth)
 
-				fr, _, err := fz.SearchEfFiltered(q, k, ef, -1, keep)
+				fr, _, err := fz.SearchEfFiltered(q, k, ef, -1, keep, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertAllMatch(t, fr, keep)
 				sumFz += recallOf(fr, truth)
 
-				qr, _, err := fq.SearchEfFiltered(q, k, ef, 4*k, keep)
+				qr, _, err := fq.SearchEfFiltered(q, k, ef, 4*k, keep, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +142,7 @@ func TestSearchFilteredBeatsPostFilter(t *testing.T) {
 		for _, r := range bruteKNNFiltered(ds, q, k, keep) {
 			truth[r.ID] = true
 		}
-		got, _, err := g.SearchEfFiltered(q, k, ef, keep)
+		got, _, err := g.SearchEfFiltered(q, k, ef, keep, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaNil, _, err := g.SearchEfFiltered(q, 5, 32, nil)
+	viaNil, _, err := g.SearchEfFiltered(q, 5, 32, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 		}
 	}
 
-	none, _, err := g.SearchEfFiltered(q, 5, 32, func(int64) bool { return false })
+	none, _, err := g.SearchEfFiltered(q, 5, 32, func(int64) bool { return false }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 		t.Fatalf("false predicate returned %d results", len(none))
 	}
 
-	if _, _, err := g.SearchEfFiltered(make([]float32, 3), 5, 32, selKeep(1)); err == nil {
+	if _, _, err := g.SearchEfFiltered(make([]float32, 3), 5, 32, selKeep(1), nil); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
 	empty, _ := New(8, DefaultConfig(vec.L2))
-	if _, _, err := empty.SearchEfFiltered(make([]float32, 8), 5, 32, selKeep(1)); err != ErrEmpty {
+	if _, _, err := empty.SearchEfFiltered(make([]float32, 8), 5, 32, selKeep(1), nil); err != ErrEmpty {
 		t.Fatalf("expected ErrEmpty, got %v", err)
 	}
 
@@ -216,7 +216,7 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fnone, _, err := fz.SearchEfFiltered(q, 5, 32, -1, func(int64) bool { return false })
+	fnone, _, err := fz.SearchEfFiltered(q, 5, 32, -1, func(int64) bool { return false }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +227,8 @@ func TestSearchFilteredNilAndEdges(t *testing.T) {
 	// Non-positive k is one error on both layouts, filtered or not.
 	for _, k := range []int{0, -1} {
 		for _, keep := range []func(int64) bool{nil, selKeep(1)} {
-			_, _, derr := g.SearchEfFiltered(q, k, 32, keep)
-			_, _, ferr := fz.SearchEfFiltered(q, k, 32, -1, keep)
+			_, _, derr := g.SearchEfFiltered(q, k, 32, keep, nil)
+			_, _, ferr := fz.SearchEfFiltered(q, k, 32, -1, keep, nil)
 			if derr == nil || ferr == nil || derr.Error() != ferr.Error() {
 				t.Fatalf("k=%d filtered=%v: dynamic err %v, frozen err %v; want the same non-nil error", k, keep != nil, derr, ferr)
 			}

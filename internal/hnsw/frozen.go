@@ -41,6 +41,8 @@ type Frozen struct {
 	layers   []csrLayer
 	entry    uint32
 	maxLevel int
+
+	dead *vec.Dead // the graph's own: rows share its numbering
 }
 
 type csrLayer struct {
@@ -84,6 +86,7 @@ func (g *Graph) Freeze(opts FreezeOptions) (*Frozen, error) {
 		rerankK:  opts.RerankK,
 		entry:    s.entry,
 		maxLevel: s.maxL,
+		dead:     &g.dead,
 	}
 	if empty {
 		n = 0
@@ -187,7 +190,7 @@ func (f *Frozen) vec(i uint32) []float32 {
 // Search returns the approximate k nearest neighbors using the beam
 // width and re-rank budget fixed at freeze time.
 func (f *Frozen) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, nil)
+	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, nil, f.dead.Bits())
 }
 
 // SearchEf searches with an explicit beam width ef (clamped to >= k)
@@ -195,25 +198,25 @@ func (f *Frozen) Search(q []float32, k int) ([]topk.Result, Stats, error) {
 // negative conventions). Results carry global IDs and exact
 // full-precision distances in the configured metric.
 func (f *Frozen) SearchEf(q []float32, k, ef, rerankK int) ([]topk.Result, Stats, error) {
-	return f.SearchEfFiltered(q, k, ef, rerankK, nil)
+	return f.SearchEfFiltered(q, k, ef, rerankK, nil, f.dead.Bits())
 }
 
 // SearchFiltered returns the approximate k nearest matching neighbors
 // using the beam width and re-rank budget fixed at freeze time.
 func (f *Frozen) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, keep)
+	return f.SearchEfFiltered(q, k, f.efSearch, f.rerankK, keep, f.dead.Bits())
 }
 
 // SearchEfFiltered is SearchEf with filter pushdown, running the same
 // walk as Graph.SearchEfFiltered over the flat layout; keep==nil is the
-// unfiltered search. Without a code slab, or with rerankK < 0, scoring
+// unfiltered search and dead a view of the graph's dead rows. Without a code slab, or with rerankK < 0, scoring
 // is float32 end to end and results and work stats are bit-identical to
 // the dynamic graph over the same snapshot (same traversal order, same
 // tie-breaking). Otherwise the walk scores SQ8 codes with the integer
 // kernel — 1/4 the memory traffic per candidate — and the top re-rank
 // budget of its admitted candidates is re-scored at full precision
 // against the graph's rows; non-matching rows never occupy re-rank slots.
-func (f *Frozen) SearchEfFiltered(q []float32, k, ef, rerankK int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+func (f *Frozen) SearchEfFiltered(q []float32, k, ef, rerankK int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error) {
 	if err := checkQuery(len(f.ids), f.dim, q, k); err != nil {
 		return nil, Stats{}, err
 	}
@@ -228,6 +231,7 @@ func (f *Frozen) SearchEfFiltered(q []float32, k, ef, rerankK int, keep func(int
 			return f.dist(q, f.vec(u))
 		},
 		keep: keep,
+		dead: dead,
 		ids:  f.ids,
 		st:   &st,
 	}

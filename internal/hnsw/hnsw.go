@@ -133,6 +133,9 @@ type Graph struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
+
+	// dead marks the rows searches skip; inserts still walk them.
+	dead vec.Dead
 }
 
 // snap is an immutable view of the graph as of some moment: the first
@@ -245,6 +248,11 @@ func (g *Graph) DataSnapshot() *vec.Dataset {
 		IDs:  g.data.IDs[:n:n],
 	}
 }
+
+// Dead returns the set of rows searches no longer return. A row stays
+// in the graph, and inserts keep linking through it, until the graph is
+// rebuilt without it.
+func (g *Graph) Dead() *vec.Dead { return &g.dead }
 
 // EfSearch returns the current default query beam width.
 func (g *Graph) EfSearch() int { return g.cfg.EfSearch }
@@ -610,8 +618,16 @@ type walk struct {
 	// global ID; nil admits every node. It is called at most once per
 	// visited node.
 	keep func(id int64) bool
+	// dead is the layout's dead-row view, read before a node's ID: a
+	// dead node is never admitted. Nil admits every node.
+	dead vec.DeadBits
 	ids  []int64 // global ID per node; its length sizes the visited set
 	st   *Stats  // Hops land here; score bumps the rest
+}
+
+// admits reports whether node u may enter the result set.
+func (w *walk) admits(u uint32) bool {
+	return !w.dead.Has(int(u)) && (w.keep == nil || w.keep(w.ids[u]))
 }
 
 // descend scores entry, then walks greedily (ef=1) down layers
@@ -656,7 +672,7 @@ func (w *walk) beam(entry uint32, ef, l int) []cand {
 	d := w.score(entry)
 	ctx.visit(entry)
 	frontier.PushMin(int64(entry), d)
-	if w.keep == nil || w.keep(w.ids[entry]) {
+	if w.admits(entry) {
 		results.Push(int64(entry), d)
 	}
 
@@ -673,7 +689,7 @@ func (w *walk) beam(entry uint32, ef, l int) []cand {
 			dn := w.score(nb)
 			if !results.Full() || dn < results.Bound() {
 				frontier.PushMin(int64(nb), dn)
-				if w.keep == nil || w.keep(w.ids[nb]) {
+				if w.admits(nb) {
 					results.Push(int64(nb), dn)
 				}
 			}
@@ -741,20 +757,20 @@ func report(cands []cand, k int, ids []int64, sqrtL bool) []topk.Result {
 // Search returns the approximate k nearest neighbors of q using the
 // configured EfSearch beam width.
 func (g *Graph) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, nil)
+	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, nil, g.dead.Bits())
 }
 
 // SearchEf returns the approximate k nearest neighbors using beam width
 // max(ef, k). Results carry global IDs and distances in the configured
 // metric (true L2, not squared).
 func (g *Graph) SearchEf(q []float32, k, ef int) ([]topk.Result, Stats, error) {
-	return g.SearchEfFiltered(q, k, ef, nil)
+	return g.SearchEfFiltered(q, k, ef, nil, g.dead.Bits())
 }
 
 // SearchFiltered returns the approximate k nearest neighbors of q whose
 // global ID satisfies keep, using the configured EfSearch beam width.
 func (g *Graph) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, keep)
+	return g.SearchEfFiltered(q, k, g.cfg.EfSearch, keep, g.dead.Bits())
 }
 
 // SearchEfFiltered is SearchEf with filter pushdown: the predicate is
@@ -763,8 +779,12 @@ func (g *Graph) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]top
 // nodes so the search can tunnel across regions of the graph that the
 // filter excludes (see walk.beam). keep==nil is the unfiltered search;
 // a non-nil keep must be safe for concurrent use if the graph is
-// searched from multiple goroutines.
-func (g *Graph) SearchEfFiltered(q []float32, k, ef int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+// searched from multiple goroutines. The rows in dead, a view of Dead
+// taken before the call, are tunnelled through the same way and never
+// admitted: a search over several graphs takes all its views first, so
+// an upsert that moved an ID between them shows it the new row or the
+// old one, never neither.
+func (g *Graph) SearchEfFiltered(q []float32, k, ef int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error) {
 	g.epMu.RLock()
 	s := g.snapshotLocked()
 	g.epMu.RUnlock()
@@ -774,6 +794,7 @@ func (g *Graph) SearchEfFiltered(q []float32, k, ef int, keep func(int64) bool) 
 	}
 	var st Stats
 	w := g.walk(&s, q, keep, &st)
+	w.dead = dead
 	cands := w.beam(w.descend(s.entry, s.maxL, 0), max(ef, k), 0)
 	return report(cands, k, s.ids, g.sqrtL), st, nil
 }

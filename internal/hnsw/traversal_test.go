@@ -49,11 +49,11 @@ func newTraversalFixture(tb testing.TB) *traversalFixture {
 func (fx *traversalFixture) search(layout string, q []float32, k, ef, rerankK int, keep func(int64) bool) ([]topk.Result, Stats, error) {
 	switch layout {
 	case "dynamic":
-		return fx.g.SearchEfFiltered(q, k, ef, keep)
+		return fx.g.SearchEfFiltered(q, k, ef, keep, nil)
 	case "frozen":
-		return fx.fz.SearchEfFiltered(q, k, ef, rerankK, keep)
+		return fx.fz.SearchEfFiltered(q, k, ef, rerankK, keep, nil)
 	}
-	return fx.fq.SearchEfFiltered(q, k, ef, rerankK, keep)
+	return fx.fq.SearchEfFiltered(q, k, ef, rerankK, keep, nil)
 }
 
 var traversalLayouts = []string{"dynamic", "frozen", "frozen_sq8"}

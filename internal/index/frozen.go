@@ -151,11 +151,7 @@ func (l *frozenLocal) maybeRefreeze(tail, frozenLen int) {
 	}()
 }
 
-func (l *frozenLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return l.SearchFiltered(q, k, nil)
-}
-
-func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
+func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error) {
 	f := l.frozen.Load()
 	l.searches.Add(1)
 
@@ -165,7 +161,7 @@ func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) 
 		err error
 	)
 	if f.Len() > 0 {
-		rs, hst, err = f.SearchEfFiltered(q, k, l.g.EfSearch(), int(l.rerankK.Load()), keep)
+		rs, hst, err = f.SearchEfFiltered(q, k, l.g.EfSearch(), int(l.rerankK.Load()), keep, dead)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -182,7 +178,7 @@ func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) 
 	// Rows appended after the freeze: exact scan, merged by distance.
 	ds := l.g.DataSnapshot()
 	if tailLen := ds.Len() - f.Len(); tailLen > 0 {
-		tail, scored := scanRows(ds, f.Len(), q, k, l.g.Config().Metric, keep)
+		tail, scored := scanRows(ds, f.Len(), q, k, l.g.Config().Metric, dead, keep)
 		st.DistComps += int64(scored)
 		l.tailScanned.Add(int64(tailLen))
 		rs = topk.Merge(k, rs, tail)
@@ -192,6 +188,7 @@ func (l *frozenLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) 
 }
 
 func (l *frozenLocal) Rows() *vec.Dataset { return l.g.DataSnapshot() }
+func (l *frozenLocal) Dead() *vec.Dead    { return l.g.Dead() }
 func (l *frozenLocal) Len() int           { return l.g.Len() }
 func (l *frozenLocal) Kind() string       { return "hnsw-frozen" }
 

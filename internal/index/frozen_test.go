@@ -63,7 +63,7 @@ func TestFrozenLocalTailMerge(t *testing.T) {
 	if _, err := g.Add(probe, 900001); err != nil {
 		t.Fatal(err)
 	}
-	rs, st, err := fl.Search(probe, 3)
+	rs, st, err := fl.SearchFiltered(probe, 3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestFrozenLocalTailMerge(t *testing.T) {
 	}
 	keep := func(id int64) bool { return id%2 == 0 } // tail rows 900002, 900004
 	view, _ := FrozenView(fl)
-	_, base, err := view.SearchEfFiltered(probe, 3, g.EfSearch(), 0, keep)
+	_, base, err := view.SearchEfFiltered(probe, 3, g.EfSearch(), 0, keep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, st, err = fl.SearchFiltered(probe, 3, keep)
+	rs, st, err = fl.SearchFiltered(probe, 3, keep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFrozenLocalBackgroundRefreeze(t *testing.T) {
 		}
 	}
 	q := []float32{0, 0, 0, 0}
-	if _, _, err := fl.Search(q, 5); err != nil {
+	if _, _, err := fl.SearchFiltered(q, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -155,7 +155,7 @@ func TestFrozenLocalBackgroundRefreeze(t *testing.T) {
 	}
 	// After the fold the tail is empty and searches stop tail-scanning.
 	before, _ := FrozenLocalStats(fl)
-	if _, _, err := fl.Search(q, 5); err != nil {
+	if _, _, err := fl.SearchFiltered(q, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := FrozenLocalStats(fl)
@@ -169,15 +169,15 @@ func TestFrozenLocalBackgroundRefreeze(t *testing.T) {
 func TestFrozenLocalSetRerankK(t *testing.T) {
 	fl, _ := frozenFixture(t, 500, 8, hnsw.FreezeOptions{SQ8: true})
 	q := make([]float32, 8)
-	if _, st, err := fl.Search(q, 5); err != nil || st.QuantComps == 0 {
+	if _, st, err := fl.SearchFiltered(q, 5, nil, nil); err != nil || st.QuantComps == 0 {
 		t.Fatalf("quantized pass inactive: %+v, %v", st, err)
 	}
 	SetRerankK(fl, -1)
-	if _, st, err := fl.Search(q, 5); err != nil || st.QuantComps != 0 {
+	if _, st, err := fl.SearchFiltered(q, 5, nil, nil); err != nil || st.QuantComps != 0 {
 		t.Fatalf("rerank-k<0 still quantized: %+v, %v", st, err)
 	}
 	SetRerankK(fl, 20)
-	if _, st, err := fl.Search(q, 5); err != nil || st.Reranked == 0 || st.Reranked > 20 {
+	if _, st, err := fl.SearchFiltered(q, 5, nil, nil); err != nil || st.Reranked == 0 || st.Reranked > 20 {
 		t.Fatalf("fixed rerank budget not honored: %+v, %v", st, err)
 	}
 }

@@ -45,18 +45,22 @@ type Stats struct {
 
 // Local is a per-partition k-NN index.
 type Local interface {
-	// Search returns up to k nearest neighbors of q with global IDs.
-	Search(q []float32, k int) ([]topk.Result, Stats, error)
-	// SearchFiltered returns up to k nearest neighbors whose global ID
-	// satisfies keep, evaluating the predicate while it searches, not on
-	// a finished top-k. A nil keep is Search. keep must be safe for
-	// concurrent use when the index is searched from several goroutines.
-	SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error)
+	// SearchFiltered returns up to k nearest neighbors of q, with global
+	// IDs, whose row is not in dead and whose global ID satisfies keep,
+	// evaluating both while it searches, not on a finished top-k. dead is
+	// a view of Dead the caller took (the engine takes every partition's
+	// before a query touches any); a nil keep admits every ID. keep must
+	// be safe for concurrent use when the index is searched from several
+	// goroutines.
+	SearchFiltered(q []float32, k int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error)
 	// Rows returns a point-in-time view of the indexed vectors in row
 	// order, safe to read while the index takes inserts. The engine's
 	// candidate scan scores rows out of it; callers must not modify it.
 	Rows() *vec.Dataset
-	// Len returns the number of indexed vectors.
+	// Dead is the set of rows no search returns, indexed like Rows. The
+	// engine marks a row dead when its ID is deleted or upserted again.
+	Dead() *vec.Dead
+	// Len returns the number of indexed vectors, dead rows included.
 	Len() int
 	// Kind returns the registry name of the implementation.
 	Kind() string
@@ -110,12 +114,8 @@ func NewHNSWBuilder(cfg hnsw.Config) Builder {
 	}
 }
 
-func (l *hnswLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return l.SearchFiltered(q, k, nil)
-}
-
-func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	rs, st, err := l.g.SearchFiltered(q, k, keep)
+func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error) {
+	rs, st, err := l.g.SearchEfFiltered(q, k, l.g.EfSearch(), keep, dead)
 	if err == hnsw.ErrEmpty {
 		return nil, Stats{}, nil
 	}
@@ -123,6 +123,7 @@ func (l *hnswLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([
 }
 
 func (l *hnswLocal) Rows() *vec.Dataset { return l.g.DataSnapshot() }
+func (l *hnswLocal) Dead() *vec.Dead    { return l.g.Dead() }
 func (l *hnswLocal) Len() int           { return l.g.Len() }
 func (l *hnswLocal) Kind() string       { return "hnsw" }
 
@@ -147,114 +148,70 @@ func HNSWGraph(l Local) (*hnsw.Graph, bool) {
 	return nil, false
 }
 
-// --- exact VP adapter ---
+// --- exact adapters ---
 
-type vpLocal struct {
-	t *vptree.Tree
-	exactRows
+// exactLocal is every exact local index: the rows it was built over
+// and, for vp and kd, a tree that answers a search admitting every row.
+// A filtered search, or one with dead rows to skip, scans the admitted
+// rows instead — exact at every selectivity, where the tree could only
+// truncate an unfiltered top-k. flat has no tree and always scans; the
+// engine's test suite uses it as filtered ground truth.
+type exactLocal struct {
+	kind   string
+	ds     *vec.Dataset
+	metric vec.Metric
+	dead   vec.Dead
+	tree   func(q []float32, k int) ([]topk.Result, Stats) // nil: scan
 }
 
 func buildVP(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
-	l := &vpLocal{exactRows: exactRows{ds, metric}}
+	l := &exactLocal{kind: "vp", ds: ds, metric: metric}
 	if ds.Len() > 0 {
-		l.t = vptree.NewTree(ds, vptree.TreeConfig{Metric: metric})
+		t := vptree.NewTree(ds, vptree.TreeConfig{Metric: metric})
+		l.tree = func(q []float32, k int) ([]topk.Result, Stats) {
+			rs, st := t.Search(q, k)
+			return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}
+		}
 	}
 	return l, nil
-}
-
-func (l *vpLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	if l.t == nil {
-		return nil, Stats{}, nil
-	}
-	rs, st := l.t.Search(q, k)
-	return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}, nil
-}
-
-func (l *vpLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	if keep == nil {
-		return l.Search(q, k)
-	}
-	return l.scan(q, k, keep)
-}
-
-func (l *vpLocal) Kind() string { return "vp" }
-
-// --- exact KD adapter ---
-
-type kdLocal struct {
-	t *kdtree.Tree
-	exactRows
 }
 
 func buildKD(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
 	if metric != vec.L2 && metric != vec.SquaredL2 {
 		return nil, fmt.Errorf("index: kd local index supports L2 only, got %v", metric)
 	}
-	l := &kdLocal{exactRows: exactRows{ds, metric}}
+	l := &exactLocal{kind: "kd", ds: ds, metric: metric}
 	if ds.Len() > 0 {
-		l.t = kdtree.NewTree(ds, kdtree.TreeConfig{})
+		t := kdtree.NewTree(ds, kdtree.TreeConfig{})
+		l.tree = func(q []float32, k int) ([]topk.Result, Stats) {
+			rs, st := t.Search(q, k)
+			return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}
+		}
 	}
 	return l, nil
 }
 
-func (l *kdLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	if l.t == nil {
-		return nil, Stats{}, nil
-	}
-	rs, st := l.t.Search(q, k)
-	return rs, Stats{DistComps: st.DistComps, Hops: st.NodesSeen}, nil
-}
-
-func (l *kdLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	if keep == nil {
-		return l.Search(q, k)
-	}
-	return l.scan(q, k, keep)
-}
-
-func (l *kdLocal) Kind() string { return "kd" }
-
-// --- flat scan adapter ---
-
-type flatLocal struct{ exactRows }
-
 func buildFlat(ds *vec.Dataset, metric vec.Metric, _ int) (Local, error) {
-	return &flatLocal{exactRows{ds, metric}}, nil
+	return &exactLocal{kind: "flat", ds: ds, metric: metric}, nil
 }
 
-func (l *flatLocal) Search(q []float32, k int) ([]topk.Result, Stats, error) {
-	return l.scan(q, k, nil)
-}
-
-// SearchFiltered on the flat local is exact brute force over matching
-// rows; the engine's test suite uses it as filtered ground truth.
-func (l *flatLocal) SearchFiltered(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	return l.scan(q, k, keep)
-}
-
-func (l *flatLocal) Kind() string { return "flat" }
-
-// exactRows is what the exact locals share: the dataset they were built
-// over, kept so a filtered search scans the matching rows (exact at
-// every selectivity) where the tree could only truncate an unfiltered
-// top-k.
-type exactRows struct {
-	ds     *vec.Dataset
-	metric vec.Metric
-}
-
-func (r exactRows) Rows() *vec.Dataset { return r.ds }
-func (r exactRows) Len() int           { return r.ds.Len() }
-
-func (r exactRows) scan(q []float32, k int, keep func(int64) bool) ([]topk.Result, Stats, error) {
-	rs, scored := scanRows(r.ds, 0, q, k, r.metric, keep)
+func (l *exactLocal) SearchFiltered(q []float32, k int, keep func(int64) bool, dead vec.DeadBits) ([]topk.Result, Stats, error) {
+	if keep == nil && dead == nil && l.tree != nil {
+		rs, st := l.tree(q, k)
+		return rs, st, nil
+	}
+	rs, scored := scanRows(l.ds, 0, q, k, l.metric, dead, keep)
 	return rs, Stats{DistComps: int64(scored)}, nil
 }
 
+func (l *exactLocal) Rows() *vec.Dataset { return l.ds }
+func (l *exactLocal) Dead() *vec.Dead    { return &l.dead }
+func (l *exactLocal) Len() int           { return l.ds.Len() }
+func (l *exactLocal) Kind() string       { return l.kind }
+
 // Scan scores dataset rows exactly against one query into a k-bounded
-// heap. It is the one brute-force loop: the flat local, the frozen tail
-// and the exact locals' filtered search feed it a row range through
-// scanRows, the engine's filter planner feeds it the rows its
+// heap. It is the one brute-force loop: the exact locals and the frozen
+// tail feed it a row range through scanRows, the engine's filter planner feeds it the rows its
 // candidates resolve to, across partitions.
 type Scan struct {
 	q      []float32
@@ -293,12 +250,12 @@ func (s *Scan) Results() ([]topk.Result, int) {
 	return rs, s.scored
 }
 
-// scanRows scans rows [from, ds.Len()) admitted by keep (nil admits
-// every row).
-func scanRows(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, keep func(int64) bool) ([]topk.Result, int) {
+// scanRows scans rows [from, ds.Len()) that are not dead and are
+// admitted by keep (nil admits every row).
+func scanRows(ds *vec.Dataset, from int, q []float32, k int, metric vec.Metric, dead vec.DeadBits, keep func(int64) bool) ([]topk.Result, int) {
 	s := NewScan(q, k, metric)
 	for i := from; i < ds.Len(); i++ {
-		if keep == nil || keep(ds.ID(i)) {
+		if !dead.Has(i) && (keep == nil || keep(ds.ID(i))) {
 			s.Row(ds, i)
 		}
 	}

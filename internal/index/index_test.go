@@ -49,7 +49,7 @@ func TestExactLocalsMatchBruteForce(t *testing.T) {
 		}
 		for trial := 0; trial < 15; trial++ {
 			q := randDS(rng, 1, 10).At(0)
-			got, st, err := l.Search(q, 5)
+			got, st, err := l.SearchFiltered(q, 5, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestHNSWLocalApproximates(t *testing.T) {
 	hits := 0
 	for trial := 0; trial < 20; trial++ {
 		q := ds.At(rng.Intn(ds.Len()))
-		got, _, err := l.Search(q, 1)
+		got, _, err := l.SearchFiltered(q, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestWrapHNSW(t *testing.T) {
 	}
 	g.Add([]float32{1, 2, 3, 4}, 7)
 	l := WrapHNSW(g)
-	rs, _, err := l.Search([]float32{1, 2, 3, 4}, 1)
+	rs, _, err := l.SearchFiltered([]float32{1, 2, 3, 4}, 1, nil, nil)
 	if err != nil || len(rs) != 1 || rs[0].ID != 7 {
 		t.Fatalf("%v %v", rs, err)
 	}
@@ -122,7 +122,7 @@ func TestEmptyPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		rs, _, err := l.Search(make([]float32, 4), 3)
+		rs, _, err := l.SearchFiltered(make([]float32, 4), 3, nil, nil)
 		if err != nil || len(rs) != 0 {
 			t.Errorf("%s: empty search gave %v %v", kind, rs, err)
 		}
@@ -138,7 +138,7 @@ func TestHNSWEmptySearchIsNotError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := l.Search(make([]float32, 4), 3)
+	rs, _, err := l.SearchFiltered(make([]float32, 4), 3, nil, nil)
 	if err != nil || len(rs) != 0 {
 		t.Errorf("empty hnsw search: %v %v", rs, err)
 	}
@@ -162,7 +162,7 @@ func TestFlatNonL2Metric(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randDS(rng, 1, 6).At(0)
-	got, _, _ := l.Search(q, 3)
+	got, _, _ := l.SearchFiltered(q, 3, nil, nil)
 	want := bruteforce.Search(ds, q, 3, vec.L1)
 	for i := range want {
 		if got[i].ID != want[i].ID {

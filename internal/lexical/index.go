@@ -270,6 +270,18 @@ func (x *Index) setLocked(id int64, text string, vec []float32) {
 	x.totalTok.Add(int64(len(toks)))
 }
 
+// SetVector replaces the vector id's document retains, keeping its text,
+// postings and version: the ID was upserted without text. A no-op when
+// id has no document.
+func (x *Index) SetVector(id int64, vec []float32) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if e := x.entry(id); e != nil {
+		slot, _ := x.slot(id)
+		slot.Store(&docEntry{id: id, ver: e.ver, tokens: e.tokens, text: e.text, vec: append([]float32(nil), vec...)})
+	}
+}
+
 // appendPosting publishes term's list with p appended. Must hold mu.
 func (x *Index) appendPosting(term string, p posting) {
 	var entries []posting
@@ -384,7 +396,7 @@ func (x *Index) putScratch(s *scratch) {
 
 // Search scores the live corpus with BM25 and returns the top k,
 // best-first. allow (optional) restricts the candidate set — hybrid
-// search passes tombstone + filter predicates through it, and document
+// search passes liveness + filter predicates through it, and document
 // frequencies are computed over the allowed live set so scores describe
 // the corpus actually being searched; it is asked at most once per
 // document. Ties break on ascending ID, and score accumulation order is

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/hnsw"
@@ -10,15 +9,17 @@ import (
 	"repro/internal/vec"
 )
 
-// Background compaction. Deletes are tombstones: the engine's searches
-// step over them, so a partition that has absorbed heavy delete churn
-// wastes memory and search effort on dead rows. Past
+// Background compaction. A delete or an upsert leaves a dead row behind:
+// the engine's searches step over it, so a partition that has absorbed
+// heavy churn wastes memory and search effort on dead rows. Past
 // Options.CompactRatio the compactor rebuilds the partition's HNSW graph
-// offline from its live rows only, catches up inserts that raced the
-// rebuild from a sidelog, swaps the new graph into the engine atomically
-// (searches never block and never see a half-swapped state), folds the
-// IDs it left out — the engine forgets their tags, text and tombstones —
-// and checkpoints so the shrunken state is also what recovery loads.
+// offline from the rows live when it began, catches up inserts that
+// raced the rebuild from a sidelog, and swaps the new graph into the
+// engine atomically (searches never block and never see a half-swapped
+// state). The swap marks the rows that died during the rebuild dead in
+// the new graph and folds the rest — the engine forgets the tags and
+// text of IDs left without a live row — and a checkpoint makes the
+// shrunken state what recovery loads.
 
 // startCompactor launches the scan loop when auto-compaction is on.
 func (d *Durable) startCompactor() {
@@ -54,20 +55,13 @@ func (d *Durable) stopCompactor() {
 	}
 }
 
-// pickPartition returns the partition with the worst tombstone/live
+// pickPartition returns the partition with the worst dead/live row
 // ratio past the threshold, or -1.
 func (d *Durable) pickPartition() int {
 	// A poisoned WAL means the storage stack is suspect; background
 	// rewrites of the manifest and snapshots would only churn a failing
 	// disk. Explicit CompactPartition calls still work.
 	if d.Failed() != nil {
-		return -1
-	}
-	dead := make(map[int64]struct{})
-	for _, id := range d.eng.TombstoneIDs() {
-		dead[id] = struct{}{}
-	}
-	if len(dead) == 0 {
 		return -1
 	}
 	d.mu.Lock()
@@ -81,13 +75,7 @@ func (d *Durable) pickPartition() int {
 		if !ok {
 			continue
 		}
-		ds := g.Data() // no mutators run while d.mu is held
-		n, nd := ds.Len(), 0
-		for i := 0; i < n; i++ {
-			if _, gone := dead[ds.ID(i)]; gone {
-				nd++
-			}
-		}
+		n, nd := g.Len(), g.Dead().Count()
 		if nd == 0 {
 			continue
 		}
@@ -99,7 +87,7 @@ func (d *Durable) pickPartition() int {
 	return best
 }
 
-// CompactPartition rebuilds partition p without its tombstoned rows and
+// CompactPartition rebuilds partition p without its dead rows and
 // swaps the result into the live engine. Searches continue against the
 // old graph until the swap lands; inserts routed to p during the
 // rebuild are recorded in a sidelog and re-applied to the new graph
@@ -113,12 +101,14 @@ func (d *Durable) CompactPartition(p int) error {
 }
 
 // compaction is one CompactPartition between its first phase and the
-// other two: the partition's live rows and the IDs of the rows left out.
+// other two: the partition's live rows, the row each live ID came from, and
+// how many rows the partition held.
 type compaction struct {
-	p      int
-	live   *vec.Dataset
-	folded []int64
-	cfg    hnsw.Config
+	p    int
+	live *vec.Dataset
+	from map[int64]uint32
+	rows int
+	cfg  hnsw.Config
 }
 
 // beginCompaction is phase 1 (under mu): snapshot partition p's live
@@ -137,13 +127,12 @@ func (d *Durable) beginCompaction(p int) (*compaction, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: partition %d has no HNSW graph", p)
 	}
-	ds := g.Data()
-	c := &compaction{p: p, live: vec.NewDataset(ds.Dim, ds.Len()), cfg: g.Config()}
+	ds, dead := g.Data(), g.Dead()
+	c := &compaction{p: p, live: vec.NewDataset(ds.Dim, ds.Len()), from: make(map[int64]uint32), rows: ds.Len(), cfg: g.Config()}
 	for i := 0; i < ds.Len(); i++ {
-		if id := ds.ID(i); d.eng.Deleted(id) {
-			c.folded = append(c.folded, id)
-		} else {
-			c.live.Append(ds.At(i), id)
+		if !dead.Has(i) {
+			c.live.Append(ds.At(i), ds.ID(i))
+			c.from[ds.ID(i)] = uint32(i)
 		}
 	}
 	d.compacting = p
@@ -158,9 +147,9 @@ func (d *Durable) finishCompaction(c *compaction) error {
 	t0 := time.Now()
 	ng, _, err := hnsw.Build(c.live, c.cfg, d.opts.Threads)
 
-	// Phase 3 (under mu): catch up sidelogged inserts, swap, fold what
-	// is still dead, and checkpoint so recovery sees the compacted state
-	// and the WAL can shed covered segments.
+	// Phase 3 (under mu): catch up sidelogged inserts — the old graph's
+	// rows from c.rows on, in order — swap, and checkpoint so recovery
+	// sees the compacted state and the WAL can shed covered segments.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer func() { d.compacting, d.sidelog = -1, nil }()
@@ -170,25 +159,28 @@ func (d *Durable) finishCompaction(c *compaction) error {
 	if d.closed {
 		return errClosed
 	}
-	relive := make(map[int64]bool, len(d.sidelog))
-	for _, s := range d.sidelog {
+	// A threaded build appends rows in any order; rows live at phase 1
+	// have unique IDs, so each new row finds its old one by ID.
+	rows := ng.Data()
+	kept := make([]uint32, rows.Len(), rows.Len()+len(d.sidelog))
+	for i := range kept {
+		kept[i] = c.from[rows.ID(i)]
+	}
+	for i, s := range d.sidelog {
 		if _, err := ng.AddAtLevel(s.v, s.id, s.level); err != nil {
 			return err
 		}
-		relive[s.id] = true
+		kept = append(kept, uint32(c.rows+i))
 	}
-	// An ID re-upserted since phase 1 is no longer dead, or — if it was
-	// deleted again — has a row in the new graph that its tombstone must
-	// keep hiding: neither is folded.
-	folded := slices.DeleteFunc(c.folded, func(id int64) bool { return relive[id] || !d.eng.Deleted(id) })
-	if err := d.eng.SwapPartition(c.p, index.WrapHNSW(ng), folded); err != nil {
+	if err := d.eng.SwapPartition(c.p, index.WrapHNSW(ng), kept); err != nil {
 		return err
 	}
+	folded := c.rows - c.live.Len()
 	d.stats.Compactions.Add(1)
-	d.stats.Folded.Add(int64(len(folded)))
+	d.stats.Folded.Add(int64(folded))
 	d.stats.CaughtUp.Add(int64(len(d.sidelog)))
 	err = d.checkpointLocked()
-	d.opts.Logf("store: compacted partition %d in %v: folded %d tombstones, caught up %d inserts, %d live rows",
-		c.p, time.Since(t0).Round(time.Millisecond), len(folded), len(d.sidelog), ng.Len())
+	d.opts.Logf("store: compacted partition %d in %v: folded %d dead rows, caught up %d inserts, %d rows",
+		c.p, time.Since(t0).Round(time.Millisecond), folded, len(d.sidelog), ng.Len())
 	return err
 }

@@ -335,7 +335,8 @@ func TestCompactionForgetsFoldedText(t *testing.T) {
 // the writes a rebuild can race with, then the rest: of three IDs
 // deleted before the compaction, the one nobody touched is folded, the
 // one re-upserted with tags and text keeps both, and the one re-upserted
-// and deleted again stays hidden, since the new graph holds its row.
+// and deleted again stays hidden: the new graph holds its row dead, and
+// with no live row left its text and tags are folded too.
 func TestCompactionFoldsOnlyTheDead(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := smallEngine(t, 800, 19)
@@ -379,7 +380,7 @@ func TestCompactionFoldsOnlyTheDead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if e.Deleted(folded) || e.Tags(folded) != nil {
+	if e.Tags(folded) != nil {
 		t.Error("the untouched ID was not folded")
 	}
 	if _, ok := e.Text(folded); ok {
@@ -391,8 +392,8 @@ func TestCompactionFoldsOnlyTheDead(t *testing.T) {
 	if text, _ := e.Text(revived); text != "new text" {
 		t.Errorf("the re-upserted ID has text %q", text)
 	}
-	if !e.Deleted(redeleted) {
-		t.Error("the swap cleared the tombstone of an ID deleted again")
+	if _, ok := e.Text(redeleted); ok || e.Tags(redeleted) != nil {
+		t.Error("the ID deleted again kept its text or tags without a live row")
 	}
 	rs, err := e.Search(v, 10)
 	if err != nil {

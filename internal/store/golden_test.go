@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -259,7 +260,9 @@ func TestWritesParentFiles(t *testing.T) {
 		t.Errorf("text sidecar is %s, the parent wrote %s", got, goldenText)
 	}
 	// The manifest differs from the parent's only in the snapshot images'
-	// CRC and size (the images are built at test time).
+	// CRC and size (the images are built at test time) and in naming the
+	// deleted row — 900001 was partition 3's row 75 — where the parent
+	// named the deleted ID.
 	var env struct {
 		Payload json.RawMessage `json:"payload"`
 		CRC     uint32          `json:"crc32c"`
@@ -271,8 +274,9 @@ func TestWritesParentFiles(t *testing.T) {
 	if err := json.Unmarshal(env.Payload, &m); err != nil || len(m.Generations) != 2 {
 		t.Fatalf("manifest payload %s: %v", env.Payload, err)
 	}
-	wantPayload := fmt.Sprintf(goldenManifestPayload,
-		m.Generations[0].CRC, m.Generations[0].Bytes, m.Generations[1].CRC, m.Generations[1].Bytes)
+	wantPayload := strings.Replace(fmt.Sprintf(goldenManifestPayload,
+		m.Generations[0].CRC, m.Generations[0].Bytes, m.Generations[1].CRC, m.Generations[1].Bytes),
+		`"tombstones":[900001]`, `"dead":{"3":[75]}`, 1)
 	if string(env.Payload) != wantPayload {
 		t.Errorf("manifest payload is\n%s, the parent's shape is\n%s", env.Payload, wantPayload)
 	}

@@ -20,7 +20,7 @@ type Stats struct {
 	Replayed     atomic.Int64 // records replayed at the last Open
 	Snapshots    atomic.Int64 // checkpoints written
 	Compactions  atomic.Int64 // partition rebuilds swapped in
-	Folded       atomic.Int64 // tombstones folded out by compaction
+	Folded       atomic.Int64 // dead rows folded out by compaction
 	CaughtUp     atomic.Int64 // sidelog inserts re-applied during swaps
 	TmpSwept     atomic.Int64 // stale *.tmp files removed at Open
 	Quarantined  atomic.Int64 // corrupt snapshots renamed *.corrupt at Open
@@ -60,7 +60,7 @@ type Snapshot struct {
 	WALDiskBytes int64  `json:"wal_disk_bytes"`
 
 	// Engine-side ingestion state: live inserts since construction and
-	// outstanding tombstones awaiting compaction.
+	// dead rows awaiting compaction.
 	EngineInserted   int64 `json:"engine_inserted"`
 	EngineTombstones int   `json:"engine_tombstones"`
 	EnginePoints     int   `json:"engine_points"`

@@ -2,7 +2,7 @@
 // a static snapshot built once by distributed construction; the engine
 // grew dynamic Add/Delete (internal/core/dynamic.go) and an HTTP
 // gateway, but every mutation lived only in memory — a restart silently
-// lost all post-build inserts and resurrected tombstoned IDs. This
+// lost all post-build inserts and resurrected deleted IDs. This
 // package is the missing persistence layer, the shard-local durability
 // primitive web-scale ANN systems (LANNS, HARMONY) build their serving
 // tiers on:
@@ -15,7 +15,7 @@
 //     WAL sequence watermark) and replays only the WAL tail, truncating
 //     segments the snapshot covers;
 //   - a background compactor (compact.go) that rebuilds a partition's
-//     HNSW graph offline once tombstones pass a configurable ratio,
+//     HNSW graph offline once dead rows pass a configurable ratio,
 //     atomically swaps it into the live engine, and writes a fresh
 //     snapshot.
 //
@@ -80,7 +80,7 @@ type Options struct {
 	// SegmentBytes rotates the WAL past this size (default 64 MiB).
 	SegmentBytes int64
 	// CompactRatio triggers a partition rebuild once its
-	// tombstoned/live row ratio exceeds this (default 0.25; negative
+	// dead/live row ratio exceeds this (default 0.25; negative
 	// disables automatic compaction — CompactPartition still works).
 	CompactRatio float64
 	// CompactInterval is the compactor's scan period (default 2s).
@@ -128,7 +128,7 @@ func (o *Options) fill() {
 }
 
 // generation is one recoverable snapshot: the engine image plus the
-// dynamic state (tombstones, inserted counter) as of its watermark,
+// dynamic state (dead rows, inserted counter) as of its watermark,
 // which Engine.Save does not capture and whose WAL records are
 // truncated once covered.
 type generation struct {
@@ -137,8 +137,13 @@ type generation struct {
 	CRC       uint32 `json:"crc32c,omitempty"` // CRC32-C of the snapshot file (0 = legacy, unverifiable)
 	Bytes     int64  `json:"bytes,omitempty"`  // snapshot file size
 
-	Tombstones []int64 `json:"tombstones,omitempty"`
-	Inserted   int64   `json:"inserted,omitempty"`
+	// Dead lists each partition's dead rows, ascending, keyed by
+	// partition (Engine.DeadRows). Generations written before liveness
+	// moved to rows carry Tombstones, deleted IDs, instead: every row of
+	// such an ID opens dead.
+	Dead       map[int][]uint32 `json:"dead,omitempty"`
+	Tombstones []int64          `json:"tombstones,omitempty"`
+	Inserted   int64            `json:"inserted,omitempty"`
 
 	// Tags is the per-vector metadata sidecar (tags-<seq>.json) holding
 	// the tag store as of the watermark, absent when no vector carries
@@ -216,19 +221,25 @@ type textsFile struct {
 }
 
 func writeManifest(fs fsx.FS, dir string, m manifest) error {
-	payload, err := json.Marshal(m)
+	b, err := encodeManifest(m)
 	if err != nil {
 		return err
+	}
+	_, _, err = fsx.WriteFileAtomic(fs, filepath.Join(dir, manifestName), b)
+	return err
+}
+
+// encodeManifest renders m as MANIFEST bytes: the checksummed envelope.
+func encodeManifest(m manifest) ([]byte, error) {
+	payload, err := json.Marshal(m)
+	if err != nil {
+		return nil, err
 	}
 	b, err := json.Marshal(manifestEnvelope{
 		Payload: payload,
 		CRC:     crc32.Checksum(payload, crcTable),
 	})
-	if err != nil {
-		return err
-	}
-	_, _, err = fsx.WriteFileAtomic(fs, filepath.Join(dir, manifestName), append(b, '\n'))
-	return err
+	return append(b, '\n'), err
 }
 
 // readManifest loads and checksum-verifies the manifest. A corrupt
@@ -259,6 +270,13 @@ func readManifest(fs fsx.FS, dir string) (manifest, error) {
 		}
 		return manifest{Generations: []generation{{Snapshot: newest, Watermark: seq}}}, nil
 	}
+	return parseManifest(path, b)
+}
+
+// parseManifest decodes MANIFEST bytes read from path: the checksummed
+// envelope, or the legacy plain-JSON single generation. Whatever it
+// refuses is a *CorruptError.
+func parseManifest(path string, b []byte) (manifest, error) {
 	var env manifestEnvelope
 	if jerr := json.Unmarshal(b, &env); jerr != nil {
 		return manifest{}, &CorruptError{Path: path, Reason: "manifest is not JSON: " + jerr.Error()}
@@ -294,7 +312,7 @@ type GenerationInfo struct {
 	Watermark  uint64 `json:"watermark"`
 	CRC        uint32 `json:"crc32c"`
 	Bytes      int64  `json:"bytes"`
-	Tombstones int    `json:"tombstones"`
+	Tombstones int    `json:"tombstones"` // dead rows (deleted IDs in a parent generation)
 }
 
 // Manifest reads and checksum-verifies dir's manifest, returning the
@@ -309,6 +327,9 @@ func Manifest(dir string) ([]GenerationInfo, error) {
 		out[i] = GenerationInfo{
 			Snapshot: g.Snapshot, Watermark: g.Watermark,
 			CRC: g.CRC, Bytes: g.Bytes, Tombstones: len(g.Tombstones),
+		}
+		for _, rows := range g.Dead {
+			out[i].Tombstones += len(rows)
 		}
 	}
 	return out, nil
@@ -381,10 +402,16 @@ func loadGeneration(fs fsx.FS, dir string, g generation, lex *lexical.Config) (*
 			return nil, err
 		}
 	}
-	// The snapshot file holds the graphs; the tombstone set and inserted
+	// The snapshot file holds the graphs; the dead rows and inserted
 	// counter as of the watermark ride in the manifest (their WAL
-	// records were truncated by the checkpoint that wrote them).
-	e.RestoreDynamic(g.Tombstones, g.Inserted)
+	// records were truncated by the checkpoint that wrote them). Dead
+	// rows that do not fit the image fail the generation like a bad CRC.
+	if err := e.RestoreDynamic(g.Dead, g.Inserted); err != nil {
+		return nil, &CorruptError{Path: filepath.Join(dir, manifestName), Reason: "generation " + g.Snapshot + ": " + err.Error()}
+	}
+	for _, id := range g.Tombstones {
+		e.Delete(id)
+	}
 	if g.Tags != "" {
 		var tf tagsFile
 		if err := readSidecar(fs, dir, g.Tags, "tags sidecar", g.TagsCRC, &tf); err != nil {
@@ -668,7 +695,7 @@ func (d *Durable) apply(r Record) error {
 	return nil
 }
 
-// Delete durably tombstones an ID (idempotent, like Engine.Delete).
+// Delete durably deletes an ID (idempotent, like Engine.Delete).
 func (d *Durable) Delete(id int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -752,8 +779,7 @@ func (d *Durable) checkpointLocked() error {
 			return err
 		}
 	}
-	g.Tombstones = d.eng.TombstoneIDs()
-	sort.Slice(g.Tombstones, func(i, j int) bool { return g.Tombstones[i] < g.Tombstones[j] })
+	g.Dead = d.eng.DeadRows()
 	g.Inserted = d.eng.Inserted()
 	gens := append([]generation{g}, d.gens...)
 	if len(gens) > maxGenerations {

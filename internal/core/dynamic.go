@@ -194,10 +194,9 @@ func (e *Engine) locate() {
 }
 
 // DeadRows returns every partition's dead rows, ascending, keyed by
-// partition; partitions without any are absent. Save captures the
-// graphs but not which of their rows are dead, so the durable store
-// persists this beside each snapshot and hands it back to
-// RestoreDynamic.
+// partition; partitions without any are absent. Save writes the same
+// rows into the image; the durable store also persists them in its
+// manifest beside each snapshot and hands them back to RestoreDynamic.
 func (e *Engine) DeadRows() map[int][]uint32 {
 	_, parts := e.view()
 	dead := make(map[int][]uint32)
@@ -209,25 +208,29 @@ func (e *Engine) DeadRows() map[int][]uint32 {
 	return dead
 }
 
-// RestoreDynamic reinstates the update state Save does not capture —
+// RestoreDynamic reinstates the update state an image may not capture —
 // each partition's dead rows (DeadRows) and the inserted counter — and
-// builds the locator from the rows left live (see locateLocked for the rule
-// an image with duplicate IDs opens under). The durable store calls it
-// after LoadEngine during recovery. A row past the end of its partition,
-// or named twice, is an error: the rows do not describe this image.
+// builds the locator from the rows left live (see locateLocked for the
+// rule an image with duplicate IDs opens under). The durable store calls
+// it after LoadEngine during recovery. A row the image already holds dead
+// stays dead; a row past the end of its partition, or named twice in
+// dead, is an error: the rows do not describe this image.
 func (e *Engine) RestoreDynamic(dead map[int][]uint32, inserted int64) error {
 	_, parts := e.view()
 	for p, rows := range dead {
 		if p < 0 || p >= len(parts) {
 			return fmt.Errorf("core: dead rows name partition %d of %d", p, len(parts))
 		}
+		named := make([]uint64, (parts[p].Len()+63)/64)
 		for _, row := range rows {
 			if int(row) >= parts[p].Len() {
 				return fmt.Errorf("core: dead row %d is past the end of partition %d (%d rows)", row, p, parts[p].Len())
 			}
-			if !parts[p].Dead().Kill(int(row)) {
+			if named[row/64]&(1<<(row%64)) != 0 {
 				return fmt.Errorf("core: dead row %d of partition %d is named twice", row, p)
 			}
+			named[row/64] |= 1 << (row % 64)
+			parts[p].Dead().Kill(int(row))
 		}
 	}
 	d := &e.dynamic

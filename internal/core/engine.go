@@ -484,9 +484,16 @@ func (e *Engine) SwapPartition(p int, l index.Local, kept []uint32) error {
 // engineMagic identifies the engine container format.
 const engineMagic = "ANNE"
 
-// Save serialises the engine (routing tree + all partition indexes).
-// The partition graphs must not be mutated during the call; concurrent
-// searches are fine.
+// deadMagic opens the dead-row section that follows the partition
+// graphs in an image of an engine with dead rows: for each partition, a
+// row count and then its dead rows, ascending, all uint32. An image
+// without it has none; a reader that predates the section stops at the
+// last graph and never looks.
+const deadMagic = "DEAD"
+
+// Save serialises the engine (routing tree, all partition indexes and,
+// when any row is dead, which ones). The partition graphs must not be
+// mutated during the call; concurrent searches are fine.
 func (e *Engine) Save(w io.Writer) error {
 	tree, parts := e.view()
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -523,7 +530,66 @@ func (e *Engine) Save(w io.Writer) error {
 			return err
 		}
 	}
+	// The dead-row section goes out only when a row is dead, so the image
+	// of an engine that never deleted or replaced a row is what it was.
+	sec, dead := []byte(deadMagic), 0
+	for _, p := range parts {
+		rows := p.Dead().Rows()
+		dead += len(rows)
+		sec = binary.LittleEndian.AppendUint32(sec, uint32(len(rows)))
+		for _, row := range rows {
+			sec = binary.LittleEndian.AppendUint32(sec, row)
+		}
+	}
+	if dead > 0 {
+		if _, err := bw.Write(sec); err != nil {
+			return err
+		}
+	}
 	return bw.Flush()
+}
+
+// readDead reads the dead-row section, if the image has one, and marks
+// its rows dead. Rows past the end of their partition or out of
+// ascending order are corruption, and so is anything after the graphs
+// that is not the section.
+func (e *Engine) readDead(r io.Reader) error {
+	var word [4]byte
+	if _, err := io.ReadFull(r, word[:]); err == io.EOF {
+		return nil // no dead rows
+	} else if err != nil {
+		return loadErr("dead rows", err)
+	}
+	if string(word[:]) != deadMagic {
+		return fmt.Errorf("core: corrupt engine file: %q after the partitions, want the dead-row section", word)
+	}
+	next := func() (uint32, error) {
+		if _, err := io.ReadFull(r, word[:]); err != nil {
+			return 0, loadErr("dead rows", err)
+		}
+		return binary.LittleEndian.Uint32(word[:]), nil
+	}
+	for p, l := range e.parts {
+		n, err := next()
+		if err != nil {
+			return err
+		}
+		if int(n) > l.Len() {
+			return fmt.Errorf("core: corrupt engine file: %d dead rows in partition %d of %d rows", n, p, l.Len())
+		}
+		for i, prev := 0, -1; i < int(n); i++ {
+			row, err := next()
+			if err != nil {
+				return err
+			}
+			if int(row) <= prev || int(row) >= l.Len() {
+				return fmt.Errorf("core: corrupt engine file: dead row %d of partition %d (%d rows) after row %d", row, p, l.Len(), prev)
+			}
+			l.Dead().Kill(int(row))
+			prev = int(row)
+		}
+	}
+	return nil
 }
 
 // loadErr wraps a section-read failure with context, turning the bare
@@ -596,6 +662,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 			return nil, fmt.Errorf("core: engine file truncated or corrupt reading partition %d of %d: %w", i, np, err)
 		}
 		e.parts[i] = index.WrapHNSW(g)
+	}
+	if err := e.readDead(br); err != nil {
+		return nil, err
 	}
 	e.cfg = DefaultConfig(np)
 	e.cfg.NProbe = nprobe

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/vec"
 )
 
@@ -144,5 +146,107 @@ func TestSearchBatchContextCancel(t *testing.T) {
 		if len(r) != 3 {
 			t.Fatalf("row %d: want 3 results, got %d", i, len(r))
 		}
+	}
+}
+
+// TestSaveKeepsDeadRows: an image saved after a delete, and after an
+// upsert that replaced a row, loads with those rows still dead. Before
+// Save wrote them, LoadEngine served the deleted ID at distance 0 and
+// counted no dead row.
+func TestSaveKeepsDeadRows(t *testing.T) {
+	const n, k, id = 2000, 10, 5
+	ds, err := dataset.Named("sift", n, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]float32(nil), ds.At(id)...)
+	far := make([]float32, len(old))
+	for i, x := range old {
+		far[i] = x + 1000
+	}
+	e, err := NewEngine(ds, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reload := func(e *Engine) *Engine {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadEngine(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return loaded
+	}
+	// check searches at the ID's old vector: it must not come back from
+	// its dead row.
+	check := func(step string, e *Engine, wantDead int) {
+		t.Helper()
+		rs, err := e.Search(old, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.ID == id && r.Dist == 0 {
+				t.Errorf("%s: ID %d answered from its dead row: %v", step, id, rs)
+			}
+		}
+		if got := e.Tombstones(); got != wantDead {
+			t.Errorf("%s: Tombstones() = %d, want %d", step, got, wantDead)
+		}
+	}
+
+	e.Delete(id)
+	check("deleted, loaded", reload(e), 1)
+
+	// Upsert it back far away: the new row is live, the old one stays
+	// dead — one dead row, which the reloaded engine must know too.
+	e, err = NewEngine(ds, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Add(far, id); err != nil {
+		t.Fatal(err)
+	}
+	loaded := reload(e)
+	check("replaced, loaded", loaded, 1)
+	rs, err := loaded.Search(far, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 || rs[0].ID != id || rs[0].Dist != 0 {
+		t.Errorf("replaced, loaded: the live row answers %v, want ID %d at 0", rs, id)
+	}
+	// A saved, loaded and saved-again image keeps them as well.
+	check("replaced, loaded twice", reload(loaded), 1)
+}
+
+// TestLoadEngineRefusesBadDeadRows: the dead-row section must name rows
+// of their partitions, ascending, and nothing else may follow the
+// graphs.
+func TestLoadEngineRefusesBadDeadRows(t *testing.T) {
+	clean := savedEngine(t)
+	for _, tc := range []struct {
+		name string
+		tail []uint32
+	}{
+		{"past the end", []uint32{1, 1 << 20, 0, 0, 0}},
+		{"named twice", []uint32{2, 3, 3, 0, 0, 0}},
+		{"truncated", []uint32{2, 3}},
+		{"more rows than the partition", []uint32{1 << 30, 0, 0, 0}},
+	} {
+		img := append([]byte(nil), clean...)
+		img = append(img, deadMagic...)
+		for _, x := range tc.tail {
+			img = binary.LittleEndian.AppendUint32(img, x)
+		}
+		if _, err := LoadEngine(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), "core:") {
+			t.Errorf("%s: LoadEngine = %v, want a described refusal", tc.name, err)
+		}
+	}
+	if _, err := LoadEngine(bytes.NewReader(append(append([]byte(nil), clean...), "JUNK"...))); err == nil {
+		t.Error("LoadEngine took an image with junk after its graphs")
 	}
 }

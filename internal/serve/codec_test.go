@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/topk"
 )
 
 // benchShapes are request bodies shaped like the four annload
@@ -155,11 +156,44 @@ func TestFloat32MatchesStrconv(t *testing.T) {
 	}
 }
 
-// FuzzResponseEncode holds the search response's append encoder to
-// encoding/json: for a response built from fuzz bytes (IDs, distances
-// with any float bits — NaN, ±Inf, subnormals —, nil and empty slices,
-// the cached and degraded flags) it writes exactly json.Marshal's bytes
-// plus json.Encoder's newline, or both refuse with the same error.
+// searchResponse is the search 200 body as a client decodes it, and
+// the struct whose encoding/json bytes appendSearchResponse is held to.
+type searchResponse struct {
+	K                int            `json:"k"`
+	TookUS           int64          `json:"took_us"`
+	Degraded         bool           `json:"degraded,omitempty"`
+	FailedPartitions []int          `json:"failed_partitions,omitempty"`
+	Results          []searchResult `json:"results"`
+}
+
+// searchResult is one query's answer on the wire.
+type searchResult struct {
+	IDs    []int64   `json:"ids"`
+	Dists  []float32 `json:"dists"`
+	Cached bool      `json:"cached,omitempty"`
+}
+
+// wire is the response a reply stands for: one result per row, the
+// results, IDs and distances never nil.
+func wire(r *searchReply) searchResponse {
+	w := searchResponse{K: r.K, TookUS: r.TookUS, Degraded: r.Degraded, FailedPartitions: r.FailedPartitions,
+		Results: make([]searchResult, len(r.Rows))}
+	for i, row := range r.Rows {
+		res := &w.Results[i]
+		res.IDs, res.Dists, res.Cached = make([]int64, len(row)), make([]float32, len(row)), r.Cached[i]
+		for j, x := range row {
+			res.IDs[j], res.Dists[j] = x.ID, x.Dist
+		}
+	}
+	return w
+}
+
+// FuzzResponseEncode holds the search reply's append encoder to
+// encoding/json: for a reply built from fuzz bytes (IDs, distances with
+// any float bits — NaN, ±Inf, subnormals —, nil and empty rows and
+// partition lists, the cached and degraded flags) it writes exactly
+// json.Marshal's bytes for the response the reply stands for plus
+// json.Encoder's newline, or both refuse with the same error.
 func FuzzResponseEncode(f *testing.F) {
 	f32 := func(xs ...float32) []byte {
 		var b []byte
@@ -177,7 +211,7 @@ func FuzzResponseEncode(f *testing.F) {
 	f.Add(0, int64(0), uint8(2), []byte{255}, []byte{0x03, 0x04, 0x08})
 
 	f.Fuzz(func(t *testing.T, k int, took int64, flags uint8, parts, data []byte) {
-		resp := searchResponse{K: k, TookUS: took, Degraded: flags&1 != 0}
+		resp := searchReply{K: k, TookUS: took, Degraded: flags&1 != 0}
 		if flags&2 != 0 {
 			resp.FailedPartitions = []int{}
 			for _, p := range parts {
@@ -185,35 +219,28 @@ func FuzzResponseEncode(f *testing.F) {
 			}
 		}
 		if flags&4 == 0 {
-			resp.Results = []searchResult{}
+			resp.Rows = [][]topk.Result{}
 		}
-		// Each result: a header byte (bit 0 nil IDs, bit 1 nil distances,
-		// bit 2 cached, the rest a length), then that many IDs and
-		// distances, as long as the bytes last.
+		// Each row: a header byte (bit 0 a nil row, bit 2 cached, the
+		// rest a length), then that many results, an ID and a distance
+		// from each 4 bytes, as long as the bytes last.
 		for len(data) > 0 {
 			h := data[0]
 			data = data[1:]
-			n := int(h >> 3)
-			res := searchResult{Cached: h&4 != 0}
+			var row []topk.Result
 			if h&1 == 0 {
-				res.IDs = []int64{}
+				row = []topk.Result{}
 			}
-			if h&2 == 0 {
-				res.Dists = []float32{}
-			}
-			for i := 0; i < n && len(data) >= 4; i++ {
-				if res.IDs != nil {
-					res.IDs = append(res.IDs, int64(binary.LittleEndian.Uint32(data))-1<<31)
-				}
-				if res.Dists != nil {
-					res.Dists = append(res.Dists, math.Float32frombits(binary.LittleEndian.Uint32(data)))
-				}
+			for i := 0; i < int(h>>3) && len(data) >= 4; i++ {
+				x := binary.LittleEndian.Uint32(data)
+				row = append(row, topk.Result{ID: int64(x) - 1<<31, Dist: math.Float32frombits(x)})
 				data = data[4:]
 			}
-			resp.Results = append(resp.Results, res)
+			resp.Rows = append(resp.Rows, row)
+			resp.Cached = append(resp.Cached, h&4 != 0)
 		}
 
-		want, wantErr := json.Marshal(resp)
+		want, wantErr := json.Marshal(wire(&resp))
 		got, err := appendSearchResponse(nil, &resp)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("append encoder error %v, json.Marshal %v", err, wantErr)
@@ -252,16 +279,14 @@ func BenchmarkDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkEncode writes a 64-result, k=10 search response with the
-// append encoder and with json.Encoder.
+// BenchmarkEncode writes a 64-result, k=10 search reply with the append
+// encoder and, as the response it stands for, with json.Encoder.
 func BenchmarkEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	resp := searchResponse{K: 10, TookUS: 5123, Results: make([]searchResult, 64)}
-	for i := range resp.Results {
-		r := &resp.Results[i]
+	resp := &searchReply{K: 10, TookUS: 5123, Rows: make([][]topk.Result, 64), Cached: make([]bool, 64)}
+	for i := range resp.Rows {
 		for j := 0; j < 10; j++ {
-			r.IDs = append(r.IDs, rng.Int63n(1_000_000))
-			r.Dists = append(r.Dists, rng.Float32()*1e5)
+			resp.Rows[i] = append(resp.Rows[i], topk.Result{ID: rng.Int63n(1_000_000), Dist: rng.Float32() * 1e5})
 		}
 	}
 	c := new(codecBuf)
@@ -273,10 +298,11 @@ func BenchmarkEncode(b *testing.B) {
 			}
 		}
 	})
+	w := wire(resp)
 	b.Run("encoding_json", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.b = c.b[:0]
-			if err := json.NewEncoder(c).Encode(resp); err != nil {
+			if err := json.NewEncoder(c).Encode(w); err != nil {
 				b.Fatal(err)
 			}
 		}

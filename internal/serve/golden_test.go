@@ -108,6 +108,7 @@ func goldenCounters(s *Server) map[string]int64 {
 		"hybrid_cache_hits": st.HybridCacheHits.Load(),
 		"cache_hits":        st.CacheHits.Load(),
 		"cache_misses":      st.CacheMisses.Load(),
+		"coalesced":         st.Coalesced.Load(),
 		"latencies":         int64(st.Snapshot().LatencyUS.N),
 	}
 }
@@ -215,6 +216,8 @@ func searchRows(prefix string) []goldenReq {
 		{name: "search k clamped", path: p, body: `{"query":[3,0,0,0],"k":100000}`},
 		{name: "search negative k", path: p, body: `{"query":[3,0,0,0],"k":-4}`},
 		{name: "search batch", path: p, body: `{"queries":[[1,0,0,0],[4,0,0,0]],"k":2}`},
+		{name: "search batch repeats a query", path: p, body: `{"queries":[[2,0,0,0],[2,0,0,0]],"k":2}`},
+		{name: "search batch cached and new", path: p, body: `{"queries":[[1,0,0,0],[5,0,0,0]],"k":3}`},
 		{name: "search filtered", path: p, body: `{"query":[1,0,0,0],"k":3,"filter":"lang=de"}`},
 		{name: "search filter respelled", path: p, body: `{"query":[1,0,0,0],"k":3,"filter":"lang in {de}"}`},
 		{name: "search trailing garbage", path: p, body: gQuery + ` xyz`},

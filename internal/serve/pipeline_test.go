@@ -269,11 +269,11 @@ func TestWrongMethodIsTypedEverywhere(t *testing.T) {
 // prints the current numbers): one request through Handler().ServeHTTP
 // on a recorder, request construction included, cache off. upsert_1
 // keeps the ceiling measured on the commit before the pipeline; the
-// others are their exact counts since the JSON fast path (search_64 on
-// the one-round server below).
+// others are their exact counts since a search request became one
+// batcher entry (search_64 on the one-round server below).
 var handlerAllocCeilings = map[string]float64{
-	"search_1":  44,
-	"search_64": 759,
+	"search_1":  41,
+	"search_64": 113,
 	"upsert_1":  39,
 	"hybrid":    27,
 }
@@ -290,10 +290,9 @@ func TestHandlerAllocCeiling(t *testing.T) {
 	})
 	defer s.Drain(context.Background())
 	// The 64-query POST goes to a server whose round never times out:
-	// its 64 distinct queries (none joins another's flight) always fill
-	// exactly one MaxBatch round, so the count has one timer and one
-	// backend call. Under a short MaxWait the queries split into a
-	// varying number of rounds, and so does the count.
+	// its 64 distinct queries (none joins another's flight) are one
+	// request that fills MaxBatch by itself, so it goes out at once as
+	// one backend call, no timer started.
 	s64 := NewServer(newGatedBackend(), ServerConfig{
 		Batcher: BatcherConfig{MaxBatch: 64, MaxWait: time.Hour},
 	})

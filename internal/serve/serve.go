@@ -5,16 +5,19 @@
 // routing, dispatch and result merging all amortize over the batch — but
 // online traffic arrives one request at a time. The gateway bridges the
 // two with a dynamic micro-batcher: concurrent in-flight requests are
-// coalesced into one SearchBatch round (bounded by MaxBatch queries and
-// a MaxWait accumulation window), recovering the throughput that
-// per-request dispatch would waste, exactly as the request-coalescing
-// front ends of web-scale ANN systems (LANNS, HARMONY) do over their
-// distributed cores.
+// coalesced into one SearchBatch round (closed once it holds MaxBatch
+// queries, or when a MaxWait accumulation window runs out), recovering
+// the throughput that per-request dispatch would waste, exactly as the
+// request-coalescing front ends of web-scale ANN systems (LANNS,
+// HARMONY) do over their distributed cores. A request is one batcher
+// entry however many queries it carries, and is never split: a single
+// query is the one-query case of the path a batch POST takes.
 //
 // Around the batcher sit the production concerns:
 //
-//   - admission control: a bounded queue sheds load (HTTP 429 +
-//     Retry-After) instead of letting latency collapse under overload;
+//   - admission control: a bounded queue of queries sheds load (HTTP
+//     429 + Retry-After) instead of letting latency collapse under
+//     overload, refusing a request that does not fit as a whole;
 //   - deadlines: each request's context plumbs down to the search call,
 //     and requests that expire while queued are dropped before dispatch;
 //   - caching: an LRU of recent results with single-flight deduplication,

@@ -122,19 +122,16 @@ func layParentStore(t *testing.T, dir string, base []byte) {
 	for _, g := range goldenRecords[:goldenWatermark] {
 		applyDirect(t, ckpt, g.rec)
 	}
-	var snap bytes.Buffer
-	if err := ckpt.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := imageWithoutDead(t, ckpt)
 	payload := fmt.Sprintf(goldenManifestPayload,
-		crc32.Checksum(snap.Bytes(), crcTable), snap.Len(), crc32.Checksum(base, crcTable), len(base))
+		crc32.Checksum(snap, crcTable), len(snap), crc32.Checksum(base, crcTable), len(base))
 	wal := fuzzSegment()
 	for i := range goldenRecords {
 		wal = append(wal, goldenFrame(t, i)...)
 	}
 	files := map[string][]byte{
 		"snap-00000000000000000000.ann":  base,
-		"snap-00000000000000000004.ann":  snap.Bytes(),
+		"snap-00000000000000000004.ann":  snap,
 		"tags-00000000000000000004.json": []byte(goldenTags),
 		"text-00000000000000000004.json": []byte(goldenText),
 		manifestName: []byte(fmt.Sprintf(`{"payload":%s,"crc32c":%d}`+"\n",
@@ -149,6 +146,30 @@ func layParentStore(t *testing.T, dir string, base []byte) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// imageWithoutDead is e's image as a build that predates the image's
+// dead-row section wrote it: the graphs only, so which rows are dead
+// lives in the manifest alone.
+func imageWithoutDead(t *testing.T, e *core.Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	dead := e.DeadRows()
+	if len(dead) == 0 {
+		return img
+	}
+	sec := 4 + 4*e.Partitions() // "DEAD", then a row count per partition
+	for _, rows := range dead {
+		sec += 4 * len(rows)
+	}
+	if cut := len(img) - sec; cut < 0 || string(img[cut:cut+4]) != "DEAD" {
+		t.Fatalf("the image does not end in a %d-byte dead-row section", sec)
+	}
+	return img[:len(img)-sec]
 }
 
 // TestOpensParentStore: a store directory written before the write path

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -215,7 +216,8 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 		}
 	}
 	// Deletes BEFORE the checkpoint: their WAL records are truncated
-	// with it, so the tombstones must survive via the snapshot manifest.
+	// with it, so the tombstones must survive via the snapshot (the image
+	// holds its dead rows; TestRestoresManifestDeadRows covers the manifest).
 	for i := 0; i < 15; i++ {
 		if err := d.Delete(int64(rng.Intn(800))); err != nil {
 			t.Fatal(err)
@@ -268,6 +270,81 @@ func TestRecoveryAfterCheckpoint(t *testing.T) {
 	}
 	if got := queryResults(t, d2.Engine(), qs, 10); !sameResults(want, got) {
 		t.Fatal("post-checkpoint recovery differs")
+	}
+}
+
+// TestRestoresManifestDeadRows: a generation whose image predates the
+// image's dead-row section keeps its deleted and replaced rows dead
+// through the manifest's "dead" alone.
+func TestRestoresManifestDeadRows(t *testing.T) {
+	dir := t.TempDir()
+	e, ds := smallEngine(t, 600, 29)
+	d, err := Create(dir, e, Options{SyncEvery: 1, CompactRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := []int{3, 40, 77, 150, 321, 8, 90, 200} // deleted, then replaced
+	for _, i := range gone[:5] {
+		if err := d.Delete(ds.ID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	far := []float32{100, 100, 100, 100, 100, 100, 100, 100}
+	for _, i := range gone[5:] {
+		if err := d.Upsert(far, ds.ID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := readManifest(fsx.OS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &m.Generations[0]
+	if n := len(g.Dead); n == 0 {
+		t.Fatal("the manifest names no dead rows")
+	}
+	path := filepath.Join(dir, g.Snapshot)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := imageWithoutDead(t, loadEngineBytes(t, b))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g.CRC, g.Bytes = crc32.Checksum(img, crcTable), int64(len(img))
+	if err := writeManifest(fsx.OS{}, dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir, Options{SyncEvery: 1, CompactRatio: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if st := d2.Stats(); st.Replayed != 0 || st.Quarantined != 0 {
+		t.Fatalf("replayed %d records (%d quarantined), want the checkpoint alone", st.Replayed, st.Quarantined)
+	}
+	if got := d2.Engine().Tombstones(); got != len(gone) {
+		t.Errorf("Tombstones() = %d, want %d", got, len(gone))
+	}
+	for _, i := range gone {
+		rs, err := d2.Engine().Search(ds.At(i), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.ID == ds.ID(i) {
+				t.Errorf("ID %d found at its dead row's vector: %v", r.ID, rs)
+			}
+		}
 	}
 }
 

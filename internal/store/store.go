@@ -128,9 +128,10 @@ func (o *Options) fill() {
 }
 
 // generation is one recoverable snapshot: the engine image plus the
-// dynamic state (dead rows, inserted counter) as of its watermark,
-// which Engine.Save does not capture and whose WAL records are
-// truncated once covered.
+// dynamic state (dead rows, inserted counter) as of its watermark, whose
+// WAL records are truncated once covered. Engine.Save does not capture
+// the inserted counter, and images written before it captured dead rows
+// hold none.
 type generation struct {
 	Snapshot  string `json:"snapshot"`         // snapshot file name within the store dir
 	Watermark uint64 `json:"watermark"`        // last WAL seq folded into the snapshot
@@ -402,10 +403,11 @@ func loadGeneration(fs fsx.FS, dir string, g generation, lex *lexical.Config) (*
 			return nil, err
 		}
 	}
-	// The snapshot file holds the graphs; the dead rows and inserted
-	// counter as of the watermark ride in the manifest (their WAL
-	// records were truncated by the checkpoint that wrote them). Dead
-	// rows that do not fit the image fail the generation like a bad CRC.
+	// The snapshot file holds the graphs, and the dead rows too unless an
+	// older build wrote it; the dead rows and inserted counter as of the
+	// watermark also ride in the manifest (their WAL records were
+	// truncated by the checkpoint that wrote them). Dead rows that do not
+	// fit the image fail the generation like a bad CRC.
 	if err := e.RestoreDynamic(g.Dead, g.Inserted); err != nil {
 		return nil, &CorruptError{Path: filepath.Join(dir, manifestName), Reason: "generation " + g.Snapshot + ": " + err.Error()}
 	}
